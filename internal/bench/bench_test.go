@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -181,12 +184,15 @@ func TestTable2SpecsSanity(t *testing.T) {
 }
 
 // TestTable1AllRowsVerify runs the entire Table 1 flow (all 23 circuits)
-// and requires every row's H-vs-J check to come back equivalent. Skipped
-// in -short mode (about half a minute).
+// and requires every row's H-vs-J check to come back equivalent, and
+// every other column to equal testdata/table1_golden.txt (one
+// goldenLine per row), so a change in any retiming or synthesis result
+// fails here. Skipped in -short mode.
 func TestTable1AllRowsVerify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table in -short mode")
 	}
+	golden := readTable1Golden(t)
 	for _, sp := range Table1Specs {
 		sp := sp
 		t.Run(sp.Name, func(t *testing.T) {
@@ -200,8 +206,41 @@ func TestTable1AllRowsVerify(t *testing.T) {
 			if row.DelayC > row.DelayD {
 				t.Errorf("shape violation: C delay %d > D delay %d", row.DelayC, row.DelayD)
 			}
+			if got, want := goldenLine(row), golden[sp.Name]; got != want {
+				t.Errorf("row differs from the golden table:\n got: %s\nwant: %s", got, want)
+			}
 		})
 	}
+}
+
+// goldenLine renders every Table1Row field except the Verify time.
+// Floats print in their shortest exact form, so equal lines mean
+// bit-identical values.
+func goldenLine(r *Table1Row) string {
+	return fmt.Sprintf("%s LatchesA=%d LatchesF=%d AreaF=%v DelayF=%d PctExp=%v LatchesC=%d AreaC=%v DelayC=%d DelayD=%d LatchesG=%d AreaG=%v LatchesE=%d AreaE=%v Verdict=%v",
+		r.Name, r.LatchesA, r.LatchesF, r.AreaF, r.DelayF, r.PctExp,
+		r.LatchesC, r.AreaC, r.DelayC, r.DelayD,
+		r.LatchesG, r.AreaG, r.LatchesE, r.AreaE, r.Verdict)
+}
+
+// readTable1Golden maps each spec name to its golden line.
+func readTable1Golden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "table1_golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		golden[name] = line
+	}
+	for _, sp := range Table1Specs {
+		if _, ok := golden[sp.Name]; !ok {
+			t.Fatalf("golden table has no row for %s", sp.Name)
+		}
+	}
+	return golden
 }
 
 // TestTable2AllRows checks the exposure reproduction for every spec.

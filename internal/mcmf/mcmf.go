@@ -1,9 +1,11 @@
 // Package mcmf implements min-cost max-flow with successive shortest
-// paths (SPFA-based, so negative edge costs are allowed as long as no
-// negative cycle exists). It is the LP engine behind exact minimum-area
-// retiming: the Leiserson-Saxe minimum-register LP is the dual of an
-// uncapacitated transshipment problem, which Minaret — the tool the
-// paper used — solves exactly this way.
+// paths: one SPFA pass sets node potentials, so negative arc costs are
+// allowed as long as no negative cycle exists, and every augmenting
+// path after it comes from Dijkstra on reduced costs. It is the LP
+// engine behind exact minimum-area retiming: the Leiserson-Saxe
+// minimum-register LP is the dual of an uncapacitated transshipment
+// problem, which Minaret — the tool the paper used — solves exactly
+// this way.
 package mcmf
 
 import "fmt"
@@ -64,62 +66,73 @@ func (g *Graph) Flow(id int) int64 { return g.cap[id^1] }
 type Result struct {
 	Flow int64
 	Cost int64
-	// Dist is the node distance vector of the FINAL shortest-path pass
-	// over the residual network (entries for unreachable nodes are
-	// MaxInt64). For LP-dual recovery: with all supplies routed, these
-	// distances are optimal node potentials.
-	Dist []int64
 }
 
 const unreached = int64(1) << 62
 
-// Run pushes as much flow as possible from s to t at minimum cost.
-// It returns an error if a negative cycle is detected.
+// Run pushes as much flow as possible from s to t at minimum cost, by
+// successive shortest paths. One SPFA (queue-based Bellman-Ford) pass
+// from s sets the initial node potentials, so arc costs may be negative;
+// it returns an error if that pass finds a negative cycle. Every
+// augmenting path after it comes from Dijkstra on the reduced costs,
+// which the potentials keep nonnegative.
 func (g *Graph) Run(s, t int) (*Result, error) {
 	res := &Result{}
+	pot, err := g.initialPotentials(s)
+	if err != nil {
+		return nil, err
+	}
 	dist := make([]int64, g.n)
-	inQueue := make([]bool, g.n)
+	done := make([]bool, g.n)
 	prevArc := make([]int32, g.n)
-	visits := make([]int32, g.n)
-
+	var h distHeap
 	for {
-		// SPFA shortest path s->t over positive-residual arcs.
 		for i := range dist {
 			dist[i] = unreached
-			prevArc[i] = -1
-			visits[i] = 0
-			inQueue[i] = false
+			done[i] = false
 		}
 		dist[s] = 0
-		queue := []int32{int32(s)}
-		inQueue[s] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			inQueue[u] = false
+		h = append(h[:0], distItem{0, int32(s)})
+		for len(h) > 0 {
+			it := h.pop()
+			u := it.v
+			if done[u] {
+				continue
+			}
+			done[u] = true
+			if u == int32(t) {
+				break // every node settled so far is final
+			}
 			for a := g.first[u]; a != -1; a = g.next[a] {
 				if g.cap[a] <= 0 {
 					continue
 				}
 				v := g.head[a]
-				nd := dist[u] + g.cost[a]
+				if done[v] {
+					continue
+				}
+				// Reduced cost, nonnegative by the potential invariant.
+				nd := it.d + g.cost[a] + pot[u] - pot[v]
 				if nd < dist[v] {
 					dist[v] = nd
 					prevArc[v] = a
-					if !inQueue[v] {
-						visits[v]++
-						if visits[v] > int32(g.n)+1 {
-							return nil, fmt.Errorf("mcmf: negative cycle detected")
-						}
-						inQueue[v] = true
-						queue = append(queue, v)
-					}
+					h.push(distItem{nd, v})
 				}
 			}
 		}
-		res.Dist = append(res.Dist[:0], dist...)
-		if dist[t] >= unreached {
+		if !done[t] {
 			return res, nil // no augmenting path left
+		}
+		// Nodes not settled before t get dist[t]: capping keeps every
+		// residual arc's reduced cost nonnegative. Nodes unreachable from
+		// s stay unreachable, so their potentials never matter.
+		dt := dist[t]
+		for v := range pot {
+			if done[v] {
+				pot[v] += dist[v]
+			} else if pot[v] < unreached {
+				pot[v] += dt
+			}
 		}
 		// Find bottleneck and augment.
 		push := Inf
@@ -137,23 +150,126 @@ func (g *Graph) Run(s, t int) (*Result, error) {
 			v = g.head[a^1]
 		}
 		res.Flow += push
-		res.Cost += push * dist[t]
+		res.Cost += push * (pot[t] - pot[s])
 	}
 }
 
-// SolveDifferenceLP minimizes sum(c[x] * r[x]) subject to difference
-// constraints r[a] - r[b] <= bound for each constraint, by solving the
-// dual transshipment with min-cost flow and recovering r from the final
-// residual shortest-path distances. The objective coefficients must sum
-// to zero (the LP is translation invariant); r is normalized so that
-// r[0] == 0. It returns nil when the LP is infeasible or unbounded.
+// initialPotentials returns the SPFA shortest-path distances from s
+// over positive-residual arcs (unreached for nodes s cannot reach), or
+// an error if a negative cycle is reachable from s.
+func (g *Graph) initialPotentials(s int) ([]int64, error) {
+	dist := make([]int64, g.n)
+	inQueue := make([]bool, g.n)
+	visits := make([]int32, g.n)
+	for i := range dist {
+		dist[i] = unreached
+	}
+	dist[s] = 0
+	queue := []int32{int32(s)}
+	inQueue[s] = true
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		inQueue[u] = false
+		for a := g.first[u]; a != -1; a = g.next[a] {
+			if g.cap[a] <= 0 {
+				continue
+			}
+			v := g.head[a]
+			if nd := dist[u] + g.cost[a]; nd < dist[v] {
+				dist[v] = nd
+				if !inQueue[v] {
+					visits[v]++
+					if visits[v] > int32(g.n)+1 {
+						return nil, fmt.Errorf("mcmf: negative cycle detected")
+					}
+					inQueue[v] = true
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	return dist, nil
+}
+
+type distItem struct {
+	d int64
+	v int32
+}
+
+// distHeap is a binary min-heap on d.
+type distHeap []distItem
+
+func (h *distHeap) push(it distItem) {
+	*h = append(*h, it)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p].d <= q[i].d {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+}
+
+func (h *distHeap) pop() distItem {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < last && q[l].d < q[m].d {
+			m = l
+		}
+		if r < last && q[r].d < q[m].d {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
+}
+
+// Constraint is one difference constraint r[A] - r[B] <= Bound.
 type Constraint struct {
 	A, B  int
 	Bound int64
 }
 
-// SolveDifferenceLP solves the LP described above.
+// SolveDifferenceLP minimizes sum(c[x] * r[x]) subject to difference
+// constraints r[a] - r[b] <= bound for each constraint, by solving the
+// dual transshipment with min-cost flow and recovering r from the final
+// residual network. The objective coefficients must sum to zero (the LP
+// is translation invariant); r is normalized so that r[0] == 0. It
+// returns nil when the LP is infeasible or unbounded.
+//
+// The r returned is the extreme point of the optimal face selected by
+// the residual shortest-path distances. Every min-cost flow has the
+// same optimal face, so r does not depend on which one Run finds.
 func SolveDifferenceLP(nvars int, c []int64, cons []Constraint) []int64 {
+	g, s, t, demand := differenceDual(nvars, c, cons)
+	res, err := g.Run(s, t)
+	if err != nil {
+		return nil // negative cycle: primal infeasible
+	}
+	if res.Flow != demand {
+		return nil // dual infeasible: primal unbounded
+	}
+	return g.recoverPrimal(nvars, len(cons))
+}
+
+// differenceDual builds the dual transshipment network of the LP: node
+// x needs net inflow c[x], and constraint (a, b, bound) is an
+// uncapacitated arc a->b with cost bound. Supplies and demands hang off
+// the returned super source s and super sink t.
+func differenceDual(nvars int, c []int64, cons []Constraint) (g *Graph, s, t int, demand int64) {
 	var sum int64
 	for _, ci := range c {
 		sum += ci
@@ -161,16 +277,12 @@ func SolveDifferenceLP(nvars int, c []int64, cons []Constraint) []int64 {
 	if sum != 0 {
 		panic("mcmf: objective coefficients must sum to zero")
 	}
-	// Dual: node x needs net inflow c[x]; constraint (a,b,bound) is an
-	// uncapacitated arc a->b with cost bound.
-	g := New(nvars)
-	arcOf := make([]int, len(cons))
-	for i, cn := range cons {
-		arcOf[i] = g.AddArc(cn.A, cn.B, Inf, cn.Bound)
+	g = New(nvars)
+	for _, cn := range cons {
+		g.AddArc(cn.A, cn.B, Inf, cn.Bound)
 	}
-	s := g.AddNode()
-	t := g.AddNode()
-	var demand int64
+	s = g.AddNode()
+	t = g.AddNode()
 	for x := 0; x < nvars; x++ {
 		switch {
 		case c[x] > 0:
@@ -180,17 +292,15 @@ func SolveDifferenceLP(nvars int, c []int64, cons []Constraint) []int64 {
 			g.AddArc(s, x, -c[x], 0)
 		}
 	}
-	res, err := g.Run(s, t)
-	if err != nil {
-		return nil // negative cycle: primal infeasible
-	}
-	if res.Flow != demand {
-		return nil // dual infeasible: primal unbounded
-	}
-	// Recover r = -dist over the final residual network. The final SPFA
-	// pass ran from s, which may no longer reach every node; rerun one
-	// Bellman-Ford-style pass from a virtual source connected to all
-	// nodes at distance 0 (valid: no negative cycles at optimality).
+	return g, s, t, demand
+}
+
+// recoverPrimal returns r = -dist over the residual network of an
+// optimal flow, restricted to the nvars LP nodes, with distances taken
+// from a virtual source joined to every node at distance 0 (valid: no
+// negative cycles at optimality). It returns nil on a residual negative
+// cycle, which a min-cost flow never leaves.
+func (g *Graph) recoverPrimal(nvars, ncons int) []int64 {
 	dist := make([]int64, nvars)
 	for iter := 0; ; iter++ {
 		changed := false
@@ -209,8 +319,8 @@ func SolveDifferenceLP(nvars int, c []int64, cons []Constraint) []int64 {
 		if !changed {
 			break
 		}
-		if iter > nvars+len(cons)+2 {
-			return nil // residual negative cycle: should not happen
+		if iter > nvars+ncons+2 {
+			return nil
 		}
 	}
 	r := make([]int64, nvars)

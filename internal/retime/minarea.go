@@ -2,7 +2,6 @@ package retime
 
 import (
 	"container/heap"
-	"sort"
 
 	"seqver/internal/mcmf"
 )
@@ -31,10 +30,11 @@ var ExactMinAreaThreshold = 900
 // Dijkstra (valid: edge weights are nonnegative in the first component).
 func (g *graph) wdMatrices() (W [][]int32, D [][]int32) {
 	nv := len(g.gateOf)
+	topo := g.zeroWeightTopo()
 	W = make([][]int32, nv)
 	D = make([][]int32, nv)
 	for u := 0; u < nv; u++ {
-		W[u], D[u] = g.lexDijkstra(u)
+		W[u], D[u] = g.lexDijkstra(u, topo)
 	}
 	return W, D
 }
@@ -63,13 +63,14 @@ func (h *wHeap) Pop() interface{} {
 // a longest-path pass over the tight subgraph. The tight subgraph is
 // acyclic (a tight cycle would be a zero-weight cycle, impossible in a
 // legal circuit), and processing nodes by (W, zero-weight topological
-// index) is a valid schedule: tight edges with w > 0 increase W, tight
-// edges with w == 0 respect the zero-weight topological order.
+// position) is a valid schedule: tight edges with w > 0 increase W, tight
+// edges with w == 0 respect the zero-weight topological order, which
+// topo holds (zeroWeightTopo).
 //
 // (A single lexicographic Dijkstra is NOT correct here — the secondary
 // objective is a maximization, which breaks the finality invariant; see
 // TestWDMatricesAgainstBruteForce, which caught exactly that.)
-func (g *graph) lexDijkstra(src int) (W []int32, D []int32) {
+func (g *graph) lexDijkstra(src int, topo []int) (W []int32, D []int32) {
 	nv := len(g.gateOf)
 	W = make([]int32, nv)
 	for i := range W {
@@ -92,13 +93,12 @@ func (g *graph) lexDijkstra(src int) (W []int32, D []int32) {
 			}
 		}
 	}
-	// Longest-delay pass over tight edges in (W, topo0) order.
-	order := g.wdOrder(W)
+	// Longest-delay pass over tight edges in (W, topo) order.
 	D = make([]int32, nv)
 	reachedD := make([]bool, nv)
 	D[src] = int32(g.delay[src])
 	reachedD[src] = true
-	for _, v := range order {
+	for _, v := range wdOrder(W, topo) {
 		if !reachedD[v] {
 			continue
 		}
@@ -114,43 +114,38 @@ func (g *graph) lexDijkstra(src int) (W []int32, D []int32) {
 			}
 		}
 	}
-	for v := range D {
-		if !reachedD[v] && v != src {
-			D[v] = 0
-		}
-	}
 	return W, D
 }
 
-// wdOrder returns the vertices sorted by (W, zero-weight topological
-// index); unreachable vertices sort last. The zero-weight topological
-// index is computed once per call (cheap relative to the Dijkstra).
-func (g *graph) wdOrder(W []int32) []int {
-	nv := len(g.gateOf)
-	topo0 := g.zeroWeightTopo()
-	order := make([]int, nv)
-	for i := range order {
-		order[i] = i
+// wdOrder returns the vertices reachable from the source (W >= 0) sorted
+// by (W, position in topo): a counting sort on W over topo, which is
+// already in the second key's order. The keys are unique.
+func wdOrder(W []int32, topo []int) []int {
+	var maxW int32 = -1
+	for _, v := range topo {
+		maxW = max(maxW, W[v])
 	}
-	sort.Slice(order, func(a, b int) bool {
-		va, vb := order[a], order[b]
-		wa, wb := W[va], W[vb]
-		if wa < 0 {
-			wa = 1 << 30
+	next := make([]int, maxW+2) // next[w]: first free slot for key w
+	for _, v := range topo {
+		if W[v] >= 0 {
+			next[W[v]+1]++
 		}
-		if wb < 0 {
-			wb = 1 << 30
+	}
+	for w := 1; w < len(next); w++ {
+		next[w] += next[w-1]
+	}
+	order := make([]int, next[len(next)-1])
+	for _, v := range topo {
+		if w := W[v]; w >= 0 {
+			order[next[w]] = v
+			next[w]++
 		}
-		if wa != wb {
-			return wa < wb
-		}
-		return topo0[va] < topo0[vb]
-	})
+	}
 	return order
 }
 
-// zeroWeightTopo returns a topological index over the zero-weight edge
-// subgraph (acyclic in a legal circuit).
+// zeroWeightTopo returns the vertices in a topological order of the
+// zero-weight edge subgraph (acyclic in a legal circuit).
 func (g *graph) zeroWeightTopo() []int {
 	nv := len(g.gateOf)
 	indeg := make([]int, nv)
@@ -159,19 +154,14 @@ func (g *graph) zeroWeightTopo() []int {
 			indeg[e.v]++
 		}
 	}
-	idx := make([]int, nv)
 	queue := make([]int, 0, nv)
 	for v := 0; v < nv; v++ {
 		if indeg[v] == 0 {
 			queue = append(queue, v)
 		}
 	}
-	pos := 0
 	for qi := 0; qi < len(queue); qi++ {
-		v := queue[qi]
-		idx[v] = pos
-		pos++
-		for _, ei := range g.out[v] {
+		for _, ei := range g.out[queue[qi]] {
 			e := g.edges[ei]
 			if e.w != 0 {
 				continue
@@ -182,7 +172,7 @@ func (g *graph) zeroWeightTopo() []int {
 			}
 		}
 	}
-	return idx
+	return queue
 }
 
 // exactMinArea returns an optimal legal lag vector achieving the given

@@ -330,24 +330,6 @@ func (g *graph) feas(c int) []int {
 	return nil
 }
 
-// latchCost is the fanout-shared latch count of labeling r: for each
-// driving signal (root node), the maximum retimed weight over its fanout
-// edges — the chain is shared among fanouts, Minaret's sharing model.
-func (g *graph) latchCost(r []int) int {
-	maxOut := make(map[int]int)
-	for _, e := range g.edges {
-		w := g.wr(e, r)
-		if w > maxOut[e.root] {
-			maxOut[e.root] = w
-		}
-	}
-	total := 0
-	for _, w := range maxOut {
-		total += w
-	}
-	return total
-}
-
 // Result carries a retiming outcome.
 type Result struct {
 	Circuit *netlist.Circuit
@@ -409,40 +391,40 @@ func ConstrainedMinArea(c *netlist.Circuit, period int) (*Result, error) {
 }
 
 // minimizeArea lowers the shared latch count of a feasible labeling at
-// the given period: by the exact Leiserson-Saxe LP (minarea.go) when the
-// graph fits under ExactMinAreaThreshold, falling back to (and never
-// losing to) hill-climbing.
+// the given period. The exact Leiserson-Saxe LP (minarea.go) answers
+// when it applies; when it declines (graph over ExactMinAreaThreshold,
+// or LP infeasible) the hill-climber improves r instead.
 func (g *graph) minimizeArea(r []int, period int) []int {
-	hc := g.reduceArea(r, period)
 	if exact := g.exactMinArea(period); exact != nil {
-		if g.latchCost(exact) <= g.latchCost(hc) {
-			return exact
-		}
+		return exact
 	}
-	return hc
+	return g.reduceArea(r, period)
 }
 
 // reduceArea hill-climbs the labeling: single-vertex lag changes that
 // keep legality and the period bound while lowering the shared latch
-// count are applied until fixpoint. A greedy stand-in for Minaret's exact
-// min-cost-flow formulation; see minarea.go for the exact solver used on
-// small and medium graphs.
+// count are applied until fixpoint, visiting v = 2..n and trying -1
+// before +1. Moving v changes only the retimed weights of the edges in
+// g.in[v] and g.out[v], so legality and the cost change are computed
+// from those edges alone. An illegal input labeling is returned
+// unchanged.
 func (g *graph) reduceArea(r []int, period int) []int {
 	r = append([]int(nil), r...)
-	cost := g.latchCost(r)
+	if !g.legal(r) {
+		return r
+	}
+	ch := newChains(g, r)
 	improved := true
 	for improved {
 		improved = false
 		for v := 2; v < len(g.gateOf); v++ {
 			for _, dir := range [2]int{-1, 1} {
 				r[v] += dir
-				if g.legal(r) {
-					if nc := g.latchCost(r); nc < cost {
-						if cp := g.clockPeriod(r); cp >= 0 && cp <= period {
-							cost = nc
-							improved = true
-							continue
-						}
+				if g.legalAround(v, r) && ch.delta(v, r) < 0 {
+					if cp := g.clockPeriod(r); cp >= 0 && cp <= period {
+						ch.commit()
+						improved = true
+						continue
 					}
 				}
 				r[v] -= dir
@@ -450,6 +432,76 @@ func (g *graph) reduceArea(r []int, period int) []int {
 		}
 	}
 	return r
+}
+
+// legalAround reports whether every edge incident to v has a
+// nonnegative retimed weight under r.
+func (g *graph) legalAround(v int, r []int) bool {
+	for _, edges := range [2][]int{g.in[v], g.out[v]} {
+		for _, ei := range edges {
+			if g.wr(g.edges[ei], r) < 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// chains keeps the shared latch chain length of every root (the
+// circuit node driving it, used as a dense index): the maximum retimed
+// weight over the root's fanout edges, Minaret's sharing model. The
+// shared latch count is their sum.
+type chains struct {
+	g      *graph
+	byRoot [][]int32 // root -> its fanout edges
+	length []int     // root -> chain length under the committed labeling
+	seen   []int     // root -> the delta call that last touched it
+	call   int
+	// The roots the last delta call touched, with their new lengths.
+	roots, lengths []int
+}
+
+func newChains(g *graph, r []int) *chains {
+	n := len(g.c.Nodes)
+	ch := &chains{g: g, byRoot: make([][]int32, n), length: make([]int, n), seen: make([]int, n)}
+	for i, e := range g.edges {
+		ch.byRoot[e.root] = append(ch.byRoot[e.root], int32(i))
+		ch.length[e.root] = max(ch.length[e.root], g.wr(e, r))
+	}
+	return ch
+}
+
+// delta returns the change in shared latch count when r differs from
+// the committed labeling at vertex v only, recomputing just the roots
+// of the edges incident to v.
+func (ch *chains) delta(v int, r []int) int {
+	ch.call++
+	ch.roots, ch.lengths = ch.roots[:0], ch.lengths[:0]
+	d := 0
+	for _, edges := range [2][]int{ch.g.in[v], ch.g.out[v]} {
+		for _, ei := range edges {
+			root := ch.g.edges[ei].root
+			if ch.seen[root] == ch.call {
+				continue
+			}
+			ch.seen[root] = ch.call
+			length := 0
+			for _, fi := range ch.byRoot[root] {
+				length = max(length, ch.g.wr(ch.g.edges[fi], r))
+			}
+			ch.roots = append(ch.roots, root)
+			ch.lengths = append(ch.lengths, length)
+			d += length - ch.length[root]
+		}
+	}
+	return d
+}
+
+// commit makes the labeling of the last delta call the committed one.
+func (ch *chains) commit() {
+	for i, root := range ch.roots {
+		ch.length[root] = ch.lengths[i]
+	}
 }
 
 // rebuild materializes the retimed circuit from labeling r.
