@@ -11,8 +11,7 @@
 // Usage:
 //
 //	benchdiff [-threshold 1.25] [-alloc-threshold 1.10]
-//	          [-allow-procs-mismatch] [-allow-mode-mismatch] [-json]
-//	          old.json new.json
+//	          [-allow-procs-mismatch] [-json] old.json new.json
 //
 // Exit codes: 0 no regression; 1 at least one row regressed past a
 // threshold (time or allocation); 2 usage errors, unreadable files, or
@@ -42,11 +41,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"new/old bytes-per-op ratio above which allocation growth is a regression")
 	allowProcs := fs.Bool("allow-procs-mismatch", false,
 		"compare files recorded under different GOMAXPROCS anyway")
-	allowMode := fs.Bool("allow-mode-mismatch", false,
-		"compare files recorded under different SAT modes anyway (the CI incremental-vs-fresh gate)")
 	jsonOut := fs.Bool("json", false, "emit the diff as JSON instead of a table")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: benchdiff [-threshold R] [-allow-procs-mismatch] [-allow-mode-mismatch] [-json] old.json new.json")
+		fmt.Fprintln(stderr, "usage: benchdiff [-threshold R] [-alloc-threshold R] [-allow-procs-mismatch] [-json] old.json new.json")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -70,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Threshold:          *threshold,
 		AllocThreshold:     *allocThreshold,
 		AllowProcsMismatch: *allowProcs,
-		AllowModeMismatch:  *allowMode,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "benchdiff: refused:", err)

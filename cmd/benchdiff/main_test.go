@@ -83,25 +83,6 @@ func TestRunExitCodes(t *testing.T) {
 		}
 	})
 
-	t.Run("mode-mismatch", func(t *testing.T) {
-		incr := testReport()
-		incr.SATMode = "incremental"
-		fresh := testReport()
-		fresh.SATMode = "fresh"
-		a := writeReport(t, dir, "incr.json", incr)
-		b := writeReport(t, dir, "fresh.json", fresh)
-		var out, errb bytes.Buffer
-		if code := run([]string{a, b}, &out, &errb); code != 2 {
-			t.Fatalf("SAT mode mismatch: exit %d, want 2", code)
-		}
-		if !strings.Contains(errb.String(), "SAT mode mismatch") {
-			t.Errorf("stderr does not explain the refusal: %s", errb.String())
-		}
-		if code := run([]string{"-allow-mode-mismatch", a, b}, &out, &errb); code != 0 {
-			t.Fatalf("-allow-mode-mismatch: exit %d, want 0", code)
-		}
-	})
-
 	t.Run("alloc-regression", func(t *testing.T) {
 		// The acceptance case: an injected allocation regression fails
 		// the diff even though wall clock is unchanged.

@@ -21,8 +21,7 @@
 // Usage:
 //
 //	cecbench [-circuit s3384] [-workers 1,2,4,8] [-iters 3] [-count 1]
-//	         [-sat-mode incremental|fresh] [-budgets 5ms,20ms,80ms,0]
-//	         [-out BENCH_cec.json]
+//	         [-budgets 5ms,20ms,80ms,0] [-out BENCH_cec.json]
 //
 // Each worker row also records the run's allocation profile —
 // allocs_per_op / bytes_per_op and the estimated GC pause accrued per
@@ -68,11 +67,13 @@ func main() {
 	// the worker pool idle — sat-only keeps one real SAT proof per
 	// output, which is the parallel hot path this harness tracks.
 	engine := flag.String("engine", "sat", "combinational engine: hybrid, sat, bdd, or portfolio")
-	satMode := flag.String("sat-mode", "incremental", "SAT solver state across output miters: incremental or fresh")
 	budgets := flag.String("budgets", "", "comma-separated wall-clock budgets to sweep (e.g. 5ms,20ms,80ms,0; 0: unbudgeted; empty: skip)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to FILE")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to FILE")
 	flag.Parse()
+	if *iters < 1 {
+		fatal(fmt.Errorf("bad iteration count %d (want >= 1)", *iters))
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -112,7 +113,6 @@ func main() {
 	rep := benchfmt.Report{
 		Circuit:    *circuit,
 		Engine:     *engine,
-		SATMode:    *satMode,
 		Outputs:    len(h.Outputs),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
@@ -148,7 +148,7 @@ func main() {
 			ctx := obs.WithTracer(context.Background(), obs.New(sum))
 			b0, o0, p0 := obs.MemCounters()
 			start := time.Now()
-			res, err := cec.CheckCtx(ctx, h, j, cec.Options{Engine: *engine, SATMode: *satMode, Workers: w})
+			res, err := cec.CheckCtx(ctx, h, j, cec.Options{Engine: *engine, Workers: w})
 			if err != nil {
 				fatal(err)
 			}
@@ -209,7 +209,7 @@ func main() {
 			var total, max int64
 			for it := 0; it < *iters; it++ {
 				start := time.Now()
-				res, err := cec.Check(h, j, cec.Options{Engine: *engine, SATMode: *satMode, Budget: bd})
+				res, err := cec.Check(h, j, cec.Options{Engine: *engine, Budget: bd})
 				if err != nil {
 					fatal(err)
 				}

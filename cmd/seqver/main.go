@@ -4,7 +4,6 @@
 // Usage:
 //
 //	seqver [-acyclic] [-rewrite] [-engine hybrid|sat|bdd|portfolio]
-//	       [-sat-mode incremental|fresh]
 //	       [-budget DUR] [-workers N] [-sim-rounds N] [-sim-words N]
 //	       [-stats] [-stats-json FILE] [-trace FILE] [-trace-format F]
 //	       [-progress] [-cpuprofile FILE] [-memprofile FILE]
@@ -44,10 +43,10 @@
 // process: both BLIF files are posted as one job, the verdict is polled
 // and printed, and the exit code contract below is preserved (a repeat
 // submission of an already-decided pair is answered from the daemon's
-// result cache). The engine flags (-engine, -sat-mode, -budget,
-// -workers, -max-conflicts, -acyclic, -rewrite, -unate) travel with the
-// job; local-only flags (-trace, -progress, profiling) are ignored in
-// submit mode.
+// result cache). The engine flags (-engine, -budget, -workers,
+// -max-conflicts, -acyclic, -rewrite, -unate) travel with the job;
+// local-only flags (-trace, -progress, profiling) are ignored in submit
+// mode.
 //
 // Exit codes: 0 the circuits are equivalent; 1 they are inequivalent
 // (a counterexample was found); 2 the verdict is undecided (resource
@@ -81,7 +80,6 @@ func run() int {
 	acyclic := flag.Bool("acyclic", false, "circuits are already feedback-free")
 	rewrite := flag.Bool("rewrite", false, "enable Eq. 5 event rewriting (EDBF path)")
 	engine := flag.String("engine", "hybrid", "combinational engine: hybrid, sat, bdd, or portfolio (race SAT vs BDD per miter)")
-	satMode := flag.String("sat-mode", "incremental", "SAT solver state across output miters: incremental (one warm solver per worker, assumption probes) or fresh (per-miter solver and encoding)")
 	budget := flag.Duration("budget", 0, "wall-clock budget for the equivalence check (e.g. 500ms, 10s; 0: unbudgeted)")
 	unateAware := flag.Bool("unate", false, "re-model positive-unate self-loops before exposing")
 	workers := flag.Int("workers", 0, "parallel miter/simulation workers (0: GOMAXPROCS)")
@@ -111,7 +109,7 @@ func run() int {
 
 	if *submit != "" {
 		return submitRemote(*submit, flag.Arg(0), flag.Arg(1), &serve.JobRequest{
-			Engine: *engine, SATMode: *satMode,
+			Engine:       *engine,
 			BudgetMS:     budget.Milliseconds(),
 			Workers:      *workers,
 			MaxConflicts: *maxConflicts,
@@ -227,10 +225,9 @@ func run() int {
 		code, rep = check(ctx, c1, c2, checkOptions{
 			acyclic: *acyclic, unateAware: *unateAware,
 			stats: *stats, statsJSON: *statsJSON,
-			budget: *budget, engine: *engine, satMode: *satMode,
+			budget: *budget, engine: *engine,
 			opt: seqver.Options{Rewrite: *rewrite, CEC: seqver.CECOptions{
 				Engine:           *engine,
-				SATMode:          *satMode,
 				Budget:           *budget,
 				Workers:          *workers,
 				SimRounds:        *simRounds,
@@ -284,7 +281,6 @@ type checkOptions struct {
 	statsJSON           string
 	budget              time.Duration
 	engine              string
-	satMode             string
 	opt                 seqver.Options
 }
 
@@ -312,7 +308,7 @@ func check(ctx context.Context, c1, c2 *seqver.Circuit, co checkOptions) (int, *
 		fmt.Print(rep.Result.Stats)
 	}
 	if co.statsJSON != "" {
-		if err := writeStatsJSON(co.statsJSON, rep, co.engine, co.satMode, time.Since(start)); err != nil {
+		if err := writeStatsJSON(co.statsJSON, rep, co.engine, time.Since(start)); err != nil {
 			return fail(err), rep
 		}
 	}
@@ -409,7 +405,6 @@ type statsEnvelope struct {
 	Verdict    string           `json:"verdict"`
 	Method     string           `json:"method"`
 	Engine     string           `json:"engine"`
-	SATMode    string           `json:"sat_mode,omitempty"`
 	ElapsedNS  int64            `json:"elapsed_ns"`
 	GOMAXPROCS int              `json:"gomaxprocs"`
 	NumCPU     int              `json:"num_cpu"`
@@ -417,7 +412,7 @@ type statsEnvelope struct {
 	Stats      *seqver.CECStats `json:"stats,omitempty"`
 }
 
-func writeStatsJSON(path string, rep *seqver.Report, engine, satMode string, elapsed time.Duration) error {
+func writeStatsJSON(path string, rep *seqver.Report, engine string, elapsed time.Duration) error {
 	hostname, _ := os.Hostname() // best-effort; omitted when unavailable
 	env := statsEnvelope{
 		Tool:       "seqver",
@@ -425,7 +420,6 @@ func writeStatsJSON(path string, rep *seqver.Report, engine, satMode string, ela
 		Verdict:    fmt.Sprint(rep.Result.Verdict),
 		Method:     rep.Method,
 		Engine:     engine,
-		SATMode:    satMode,
 		ElapsedNS:  elapsed.Nanoseconds(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),

@@ -66,12 +66,8 @@ type BudgetResult struct {
 
 // Report is one BENCH_cec.json file.
 type Report struct {
-	Circuit string `json:"circuit"`
-	Engine  string `json:"engine"`
-	// SATMode is the solver-state policy of the run ("incremental" or
-	// "fresh"); empty in files predating the mode split, which Compare
-	// treats as matching anything.
-	SATMode    string `json:"sat_mode,omitempty"`
+	Circuit    string `json:"circuit"`
+	Engine     string `json:"engine"`
 	Outputs    int    `json:"outputs"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`

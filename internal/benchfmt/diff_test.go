@@ -144,34 +144,6 @@ func TestCompareRefusesMismatches(t *testing.T) {
 	}
 }
 
-func TestCompareSATModeGuard(t *testing.T) {
-	base := sampleReport()
-	base.SATMode = "incremental"
-	head := sampleReport()
-	head.SATMode = "fresh"
-	_, err := Compare(base, head, DiffOptions{})
-	if err == nil || !strings.Contains(err.Error(), "SAT mode mismatch") {
-		t.Fatalf("SAT mode mismatch not refused: %v", err)
-	}
-	if !strings.Contains(err.Error(), "allow-mode-mismatch") {
-		t.Fatalf("refusal must name the override flag: %v", err)
-	}
-	if _, err := Compare(base, head, DiffOptions{AllowModeMismatch: true}); err != nil {
-		t.Fatalf("AllowModeMismatch did not waive the guard: %v", err)
-	}
-	// A legacy file with no recorded mode matches anything: the guard
-	// must not break comparisons against pre-mode baselines.
-	legacy := sampleReport()
-	if _, err := Compare(legacy, head, DiffOptions{}); err != nil {
-		t.Fatalf("empty SATMode treated as mismatch: %v", err)
-	}
-	same := sampleReport()
-	same.SATMode = "incremental"
-	if _, err := Compare(base, same, DiffOptions{}); err != nil {
-		t.Fatalf("matching SAT modes refused: %v", err)
-	}
-}
-
 func TestCompareMissingRows(t *testing.T) {
 	head := sampleReport()
 	head.Results = head.Results[:1]                           // workers=2 only in old

@@ -71,15 +71,6 @@ type Options struct {
 	Engine string
 	// MaxConflicts bounds each SAT proof (0: generous default).
 	MaxConflicts int64
-	// SATMode selects how the SAT arm treats solver state across the
-	// output miters of one check: "incremental" (default) keeps one
-	// solver per worker warm across miters — the shared cone structure
-	// is encoded once, each miter is an assumption probe over one clause
-	// database, and clauses learned on output i prune output i+1 —
-	// while "fresh" gives every miter a brand-new solver and encoding,
-	// the bisectable baseline the incremental path is benched against.
-	// Verdicts never depend on the mode.
-	SATMode string
 	// ClassTriggerConflicts is the conflict budget an incremental SAT
 	// probe may burn before the engine invests in the one-time fraig
 	// class analysis (an analysis-only SAT sweep whose proven internal
@@ -87,8 +78,8 @@ type Options struct {
 	// miter queues never trip it and skip the sweep entirely; the first
 	// probe on a hard queue pays it once and the remaining miters reuse
 	// the classes. 0 selects the default (5000); negative runs the
-	// sweep eagerly before the first probe. Only the sat engine in
-	// incremental mode consults it.
+	// sweep eagerly before the first probe. Only the sat engine
+	// consults it.
 	ClassTriggerConflicts int
 	// BDDLimit bounds the BDD engine's node count (0: default 2M).
 	BDDLimit int
@@ -152,11 +143,6 @@ func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Resul
 	engine := opt.Engine
 	if engine == "" {
 		engine = "hybrid"
-	}
-	switch opt.SATMode {
-	case "", "incremental", "fresh":
-	default:
-		return nil, fmt.Errorf("cec: unknown SAT mode %q (want incremental or fresh)", opt.SATMode)
 	}
 	ctx, sp := obs.Start(ctx, "cec", obs.S("engine", engine))
 	defer sp.End()

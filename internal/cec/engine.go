@@ -59,11 +59,6 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 	workers := opt.workerCount()
 	st := res.Stats
 	st.Workers = workers
-	satMode := opt.SATMode
-	if satMode == "" {
-		satMode = "incremental"
-	}
-	st.SATMode = satMode
 	mreg := metrics.FromContext(ctx)
 
 	// Stage 1: random simulation looks for cheap counterexamples.
@@ -120,13 +115,13 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 
 	// Stage 3: one miter per output, proved concurrently. The "sat"
 	// engine proves over the unmerged AIG, so fraig-proven internal
-	// equivalences are not folded into the structure. In incremental
-	// mode the workers recover them on demand: the first probe that
-	// burns through classTrigger conflicts without an answer runs one
-	// analysis-only sweep over the joint AIG, and every worker feeds
-	// the resulting classes into its clause database as equality
-	// clauses. Easy sweeps never pay for the analysis; hard miters
-	// amortize it across the remaining queue.
+	// equivalences are not folded into the structure. The workers
+	// recover them on demand: the first probe that burns through
+	// classTrigger conflicts without an answer runs one analysis-only
+	// sweep over the joint AIG, and every worker feeds the resulting
+	// classes into its clause database as equality clauses. Easy sweeps
+	// never pay for the analysis; hard miters amortize it across the
+	// remaining queue.
 	maxConf := opt.MaxConflicts
 	if maxConf == 0 {
 		maxConf = 200000
@@ -140,7 +135,6 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 		maxConf:      maxConf,
 		bddLimit:     opt.bddLimit(),
 		portfolio:    engine == "portfolio",
-		incremental:  satMode == "incremental",
 		classTrigger: trigger,
 		classSeed:    opt.Seed,
 		classWorkers: workers,
@@ -295,12 +289,11 @@ type proveEnv struct {
 	maxConf        int64
 	bddLimit       int
 	portfolio      bool
-	incremental    bool      // warm per-worker solver vs fresh per miter
 	deadline       *budgeter // nil when neither Budget nor a ctx deadline is set
 
-	// On-demand class analysis (sat engine, incremental mode): the
-	// first probe to exceed classTrigger conflicts runs the fraig
-	// sweep once; classes publishes the result to all workers.
+	// On-demand class analysis (sat engine): the first probe to exceed
+	// classTrigger conflicts runs the fraig sweep once; classes
+	// publishes the result to all workers.
 	classTrigger    int64 // <0: sweep eagerly before the first probe
 	classSeed       int64
 	classWorkers    int
@@ -331,8 +324,7 @@ type proveEnv struct {
 }
 
 // workerState is what each pool worker owns privately: a warm SAT
-// solver and its CNF map over the shared read-only AIG (incremental
-// mode; fresh mode rebuilds both per miter).
+// solver and its CNF map over the shared read-only AIG.
 type workerState struct {
 	solver *sat.Solver
 	cnf    *aig.CNFMap
@@ -535,27 +527,22 @@ func (e *proveEnv) proveOne(ctx context.Context, ws *workerState, i int,
 	return status, "sat", cex
 }
 
-// proveSAT discharges one output miter. In incremental mode (the
-// default) the probe runs on the worker's warm solver: only the cone
-// delta is encoded into the shared CNF, the two one-sided checks run
-// as assumption probes over the retained clause database (clauses
-// learned on output i prune output i+1), and a proven equality is fed
-// back as permanent clauses for later miters. Directed assumption
+// proveSAT discharges one output miter. The probe runs on the
+// worker's warm solver: only the cone delta is encoded into the shared
+// CNF, the two one-sided checks run as assumption probes over the
+// retained clause database (clauses learned on output i prune output
+// i+1), and a proven equality is fed back as permanent clauses for
+// later miters. Directed assumption
 // pairs beat a retractable miter clause under an activation literal
 // here — assumptions propagate both cone values immediately, while an
 // activated disjunction forces the solver to branch on the case split
 // (measured ~20% more conflicts on the s3384 harness). A probe that
 // exhausts the class-trigger conflict cap runs the fraig class
-// analysis once and retries with the classes fed. Fresh mode rebuilds
-// solver and encoding per miter; it is the bisectable baseline.
+// analysis once and retries with the classes fed.
 // Statuses: equal | cex | undecided (conflict budget) | timeout
 // (context fired).
 func (e *proveEnv) proveSAT(ctx context.Context, ws *workerState, i int,
 	o *OutputStats) (string, map[string]bool) {
-	if !e.incremental {
-		ws.solver = sat.New(0)
-		ws.cnf = &aig.CNFMap{VarOf: map[uint32]int{}}
-	}
 	s := ws.solver
 	if sp := obs.CurrentSpan(ctx); sp != nil {
 		thr := obs.NewThrottle(50 * time.Millisecond)
@@ -588,26 +575,6 @@ func (e *proveEnv) proveSAT(ctx context.Context, ws *workerState, i int,
 	l2 := e.a.Encode(s, ws.cnf, e.pos2[i])
 	atomic.AddInt64(&e.varsEncoded, int64(s.NumVars()-v0))
 	e.mVarsEncoded.Add(int64(s.NumVars() - v0))
-	s.MaxConflicts = e.maxConf
-
-	if !e.incremental {
-		for pass := 0; pass < 2; pass++ {
-			a1, a2 := l1, l2.Not()
-			if pass == 1 {
-				a1, a2 = l1.Not(), l2
-			}
-			verdict, model := s.SolveModelCtx(ctx, a1, a2)
-			switch verdict {
-			case sat.Sat:
-				return "cex", cexFromModel(e.a, e.piNames, ws.cnf, model)
-			case sat.Unknown:
-				return "undecided", nil
-			case sat.Canceled:
-				return "timeout", nil
-			}
-		}
-		return "equal", nil
-	}
 
 	o.LearnedReused = s.NumLearned()
 	atomic.AddInt64(&e.clausesReused, int64(o.LearnedReused))

@@ -27,7 +27,6 @@ func fullStats() *Stats {
 		SATCalls:         5,
 		Conflicts:        777,
 		Decisions:        1234,
-		SATMode:          "incremental",
 		ClausesReused:    321,
 		VarsEncoded:      654,
 		DBReductions:     2,
@@ -88,7 +87,7 @@ outputs:     9 (6 structural)
 simulation:  8 rounds x 4 words (2048 patterns), 1 cex hits
 fraig:       120 -> 30 AND nodes, 45 merges (12 proofs)
 sat:         5 calls, 777 conflicts, 1234 decisions
-sat mode:    incremental (321 clauses reused, 654 vars encoded, 2 reductions)
+reuse:       321 clauses reused, 654 vars encoded, 2 reductions
 classes:     7 recorded, 5 fed as equality clauses
 budget:      2s wall clock
 portfolio:   sat 2 wins / 1 timeouts, bdd 1 wins / 2 timeouts, 1 unresolved

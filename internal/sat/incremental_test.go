@@ -5,218 +5,76 @@ import (
 	"testing"
 )
 
-// coreContains reports whether the core holds the exact literal l.
-func coreContains(core []Lit, l Lit) bool {
-	for _, c := range core {
-		if c == l {
-			return true
+func TestReduceDBReclaimsTopLevelPropagatedReasons(t *testing.T) {
+	// Binary clauses (x ∨ y_i) become the top-level antecedents of y_i
+	// once the unit ¬x propagates, so they are locked reasons. A
+	// MaxLearned-forced reduction must release those level-0 reasons
+	// (never dereferenced again) and reclaim the satisfied clauses.
+	const spectators = 70
+	s := New(0)
+	s.MaxLearned = 16
+	x := MkLit(0, false)
+	for i := 1; i <= spectators; i++ {
+		s.AddClause(x, MkLit(i, false))
+	}
+	s.AddClause(x.Not())
+	for cref := 0; cref < spectators; cref++ {
+		if !s.locked(cref) {
+			t.Fatalf("setup: clause %d is not a top-level reason", cref)
 		}
 	}
-	return false
-}
-
-func TestCoreDirectContradiction(t *testing.T) {
-	// x0 -> x1; assuming {x0, ¬x1} fails and both assumptions conspire.
-	s := New(2)
-	s.AddClause(MkLit(0, true), MkLit(1, false))
-	if st := s.Solve(MkLit(0, false), MkLit(1, true)); st != Unsat {
-		t.Fatalf("st=%v", st)
-	}
-	core := s.Core()
-	if len(core) != 2 || !coreContains(core, MkLit(0, false)) || !coreContains(core, MkLit(1, true)) {
-		t.Fatalf("core=%v, want both assumptions", core)
-	}
-}
-
-func TestCoreExcludesIrrelevantAssumptions(t *testing.T) {
-	// Chain x0 -> x1 -> x2 plus unrelated vars x3..x9. Assuming
-	// {x3..x9, x0, ¬x2} must produce a core without the spectators.
-	s := New(10)
-	s.AddClause(MkLit(0, true), MkLit(1, false))
-	s.AddClause(MkLit(1, true), MkLit(2, false))
-	assumps := []Lit{
-		MkLit(3, false), MkLit(4, true), MkLit(5, false), MkLit(6, true),
-		MkLit(7, false), MkLit(8, true), MkLit(9, false),
-		MkLit(0, false), MkLit(2, true),
-	}
-	if st := s.Solve(assumps...); st != Unsat {
-		t.Fatalf("st=%v", st)
-	}
-	core := s.Core()
-	if !coreContains(core, MkLit(0, false)) || !coreContains(core, MkLit(2, true)) {
-		t.Fatalf("core=%v, want x0 and ¬x2", core)
-	}
-	for v := 3; v <= 9; v++ {
-		if coreContains(core, MkLit(v, false)) || coreContains(core, MkLit(v, true)) {
-			t.Fatalf("core=%v mentions spectator x%d", core, v)
+	// A guarded pigeonhole over fresh variables supplies the conflicts:
+	// every clause carries ¬g, so assuming g is UNSAT without latching
+	// the solver into top-level unsatisfiability.
+	g := MkLit(spectators+1, false)
+	base := spectators + 2
+	const pigeons, holes = 5, 4
+	v := func(p, h int) int { return base + p*holes + h }
+	for p := 0; p < pigeons; p++ {
+		cl := []Lit{g.Not()}
+		for h := 0; h < holes; h++ {
+			cl = append(cl, MkLit(v(p, h), false))
 		}
+		s.AddClause(cl...)
 	}
-}
-
-func TestCoreOfContradictoryAssumptionPair(t *testing.T) {
-	s := New(1)
-	s.AddClause(MkLit(0, false), MkLit(0, true)) // tautology, dropped
-	if st := s.Solve(MkLit(0, false), MkLit(0, true)); st != Unsat {
-		t.Fatalf("st=%v", st)
-	}
-	core := s.Core()
-	if len(core) != 2 {
-		t.Fatalf("core=%v, want {x0, ¬x0}", core)
-	}
-}
-
-func TestCoreNilWithoutAssumptions(t *testing.T) {
-	// Intrinsically UNSAT formula: the core must be nil (no assumption
-	// is to blame), both when detected at load and during search.
-	s := New(1)
-	s.AddClause(MkLit(0, false))
-	s.AddClause(MkLit(0, true))
-	if st := s.Solve(MkLit(0, false)); st != Unsat {
-		t.Fatal("want UNSAT")
-	}
-	if s.Core() != nil {
-		t.Fatalf("core=%v, want nil for intrinsic UNSAT", s.Core())
-	}
-}
-
-func TestCoreClearedOnSat(t *testing.T) {
-	s := New(2)
-	s.AddClause(MkLit(0, true), MkLit(1, false))
-	if s.Solve(MkLit(0, false), MkLit(1, true)) != Unsat || s.Core() == nil {
-		t.Fatal("setup: want UNSAT with core")
-	}
-	if s.Solve(MkLit(0, false)) != Sat {
-		t.Fatal("want SAT")
-	}
-	if s.Core() != nil {
-		t.Fatalf("core=%v not cleared by a SAT call", s.Core())
-	}
-}
-
-func TestCoreIsItselfUnsat(t *testing.T) {
-	// Property: re-solving under just the reported core must stay UNSAT.
-	rng := rand.New(rand.NewSource(7))
-	const nvars = 12
-	for trial := 0; trial < 60; trial++ {
-		s := New(nvars)
-		ok := true
-		for i := 0; i < 24+rng.Intn(20); i++ {
-			cl := make([]Lit, 3)
-			for j := range cl {
-				cl[j] = MkLit(rng.Intn(nvars), rng.Intn(2) == 0)
-			}
-			if !s.AddClause(cl...) {
-				ok = false
-				break
+	for h := 0; h < holes; h++ {
+		for p1 := 0; p1 < pigeons; p1++ {
+			for p2 := p1 + 1; p2 < pigeons; p2++ {
+				s.AddClause(g.Not(), MkLit(v(p1, h), true), MkLit(v(p2, h), true))
 			}
 		}
-		if !ok {
-			continue
-		}
-		var assumps []Lit
-		for v := 0; v < nvars; v++ {
-			if rng.Intn(2) == 0 {
-				assumps = append(assumps, MkLit(v, rng.Intn(2) == 0))
+	}
+	if st := s.Solve(g); st != Unsat {
+		t.Fatalf("guarded pigeonhole: st=%v", st)
+	}
+	if s.Stats.Reductions == 0 {
+		t.Fatalf("no reductions despite cap (learned=%d)", s.Stats.Learned)
+	}
+	for _, c := range s.clauses {
+		for _, l := range c.lits {
+			if l.Var() <= spectators {
+				t.Fatalf("top-level-satisfied clause %v survived the reduction", c.lits)
 			}
 		}
-		if s.Solve(assumps...) != Unsat {
-			continue
+	}
+	if s.Stats.Deleted < spectators {
+		t.Fatalf("Stats.Deleted=%d, want at least the %d reclaimed reasons", s.Stats.Deleted, spectators)
+	}
+	// The reclaimed clauses' consequences stay top-level facts.
+	if st := s.Solve(MkLit(5, true)); st != Unsat {
+		t.Fatalf("top-level fact y5 lost after reclamation: st=%v", st)
+	}
+	st, model := s.SolveModel()
+	if st != Sat {
+		t.Fatalf("base formula must stay SAT: st=%v", st)
+	}
+	if model[0] {
+		t.Fatal("model violates the unit ¬x")
+	}
+	for i := 1; i <= spectators; i++ {
+		if !model[i] {
+			t.Fatalf("model violates reclaimed clause (x ∨ y%d)", i)
 		}
-		core := s.Core()
-		if core == nil {
-			// Intrinsic UNSAT: nothing to check.
-			continue
-		}
-		for _, c := range core {
-			if !coreContains(assumps, c) {
-				t.Fatalf("trial %d: core lit %v not among assumptions %v", trial, c, assumps)
-			}
-		}
-		if s.Solve(core...) != Unsat {
-			t.Fatalf("trial %d: core %v of %v is not itself UNSAT", trial, core, assumps)
-		}
-	}
-}
-
-func TestActivationGroupEnforcedOnlyUnderAssumption(t *testing.T) {
-	// Guarded unit ¬x0: active only when the activation is assumed.
-	s := New(1)
-	act := s.NewActivation()
-	s.AddGuarded(act, MkLit(0, true))
-	if st := s.Solve(act, MkLit(0, false)); st != Unsat {
-		t.Fatalf("guarded clause not enforced under act: %v", st)
-	}
-	if st := s.Solve(MkLit(0, false)); st != Sat {
-		t.Fatalf("guarded clause leaked into unguarded solve: %v", st)
-	}
-}
-
-func TestRetractDisablesGroup(t *testing.T) {
-	s := New(1)
-	act := s.NewActivation()
-	s.AddGuarded(act, MkLit(0, true))
-	s.Retract(act)
-	// Assuming the retracted activation now contradicts the retraction
-	// unit itself; the core names it.
-	if st := s.Solve(act, MkLit(0, false)); st != Unsat {
-		t.Fatalf("st=%v", st)
-	}
-	if core := s.Core(); !coreContains(core, act) {
-		t.Fatalf("core=%v, want the retracted activation", core)
-	}
-	if st := s.Solve(MkLit(0, false)); st != Sat {
-		t.Fatalf("retraction broke the base formula: %v", st)
-	}
-}
-
-func TestRetractedGroupsPurged(t *testing.T) {
-	// 100 one-clause groups retracted one by one: the every-64th-retract
-	// purge must reclaim the dead clauses on a later Solve call.
-	s := New(2)
-	var acts []Lit
-	for i := 0; i < 100; i++ {
-		a := s.NewActivation()
-		s.AddGuarded(a, MkLit(0, true), MkLit(1, false))
-		acts = append(acts, a)
-	}
-	if before := s.NumClauses(); before != 100 {
-		t.Fatalf("setup: clauses=%d", before)
-	}
-	for _, a := range acts {
-		s.Retract(a)
-	}
-	if s.Solve() != Sat {
-		t.Fatal("base formula must stay SAT")
-	}
-	if after := s.NumClauses(); after != 0 {
-		t.Fatalf("%d dead group clauses survived the purge", after)
-	}
-	if s.Stats.Deleted == 0 {
-		t.Fatal("Stats.Deleted not accounted")
-	}
-}
-
-func TestPurgeReclaimsTopLevelPropagatedGuards(t *testing.T) {
-	// A binary guarded clause whose guard unit-propagates at the top
-	// level becomes the propagation's antecedent; once retracted and
-	// purged it must still be reclaimed (level-0 reasons are released,
-	// never dereferenced).
-	s := New(1)
-	var acts []Lit
-	for i := 0; i < 70; i++ {
-		a := s.NewActivation()
-		s.AddGuarded(a, MkLit(0, false)) // binary: (x0 ∨ ¬a)
-		acts = append(acts, a)
-	}
-	s.AddClause(MkLit(0, true)) // ¬x0 unit: every group propagates ¬a
-	for _, a := range acts {
-		s.Retract(a) // already-false guards: no-op adds, but counted
-	}
-	if s.Solve() != Sat {
-		t.Fatal("base formula must stay SAT")
-	}
-	if after := s.NumClauses(); after != 0 {
-		t.Fatalf("%d locked group clauses survived the purge", after)
 	}
 }
 

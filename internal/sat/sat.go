@@ -127,12 +127,10 @@ type Solver struct {
 	seen      []bool
 	unsatisf  bool   // top-level conflict found during AddClause
 	lastModel []bool // snapshot of the most recent Sat assignment
-	core      []Lit  // failed-assumption core of the last Unsat call
 
 	numLearned int // live learned clauses (attached, not deleted)
 	numOrig    int // live original clauses
 	maxLearned float64
-	retired    int // Retract calls since the last purge of satisfied clauses
 
 	// Budget: conflicts allowed per Solve call; <= 0 means unlimited.
 	MaxConflicts int64
@@ -152,8 +150,8 @@ type Solver struct {
 	Stats struct {
 		Decisions, Propagations, Conflicts, Learned, Restarts int64
 		// Reductions counts learned-database reduction passes; Deleted
-		// counts clauses dropped by reduction and by the purge of
-		// clauses satisfied at the top level (retracted groups).
+		// counts clauses dropped by them, including clauses satisfied
+		// at the top level.
 		Reductions, Deleted int64
 		// SolveCalls counts Solve invocations over the solver's
 		// lifetime, so incremental callers can bill per-probe deltas.
@@ -511,50 +509,6 @@ func (s *Solver) redundant(l Lit, abstract uint32, toClear *[]int) bool {
 	return true
 }
 
-// analyzeFinal computes the failed-assumption core once assumption p
-// turned out false under the earlier assumptions: the subset of
-// assumption literals whose conjunction already contradicts the clause
-// set. It walks the implication graph from p's complement back to the
-// decisions of the assumption prefix (MiniSat's analyzeFinal).
-func (s *Solver) analyzeFinal(p Lit) []Lit {
-	core := []Lit{p}
-	if s.decisionLevel() == 0 || s.level[p.Var()] == 0 {
-		// p was refuted by top-level propagation alone: p is the
-		// entire core.
-		return core
-	}
-	s.seen[p.Var()] = true
-	for i := len(s.trail) - 1; i >= int(s.trailLm[0]); i-- {
-		v := s.trail[i].Var()
-		if !s.seen[v] {
-			continue
-		}
-		s.seen[v] = false
-		if s.reason[v] == -1 {
-			// A decision inside the assumption prefix is an earlier
-			// assumption (decisions proper only exist above the prefix,
-			// and solve detects assumption failure while extending it).
-			core = append(core, s.trail[i])
-			continue
-		}
-		for _, l := range s.clauses[s.reason[v]].lits[1:] {
-			if s.level[l.Var()] > 0 {
-				s.seen[l.Var()] = true
-			}
-		}
-	}
-	s.seen[p.Var()] = false
-	return core
-}
-
-// Core returns the failed-assumption core of the most recent Solve call
-// that returned Unsat under assumptions: a subset of the assumption
-// literals whose conjunction is already contradictory with the clause
-// set. It returns nil when the clause set is unsatisfiable on its own
-// (no assumptions needed) or when the last call did not return Unsat.
-// The slice is owned by the caller; a later Solve overwrites nothing.
-func (s *Solver) Core() []Lit { return s.core }
-
 func (s *Solver) cancelUntil(lv int32) {
 	if s.decisionLevel() <= lv {
 		return
@@ -581,8 +535,9 @@ func (s *Solver) locked(cref int) bool {
 }
 
 // satisfiedAtTopLevel reports whether the clause holds a literal made
-// permanently true at decision level 0 — e.g. by a retracted activation
-// group. Such a clause can never propagate again and may be reclaimed.
+// permanently true at decision level 0 — e.g. by a unit clause or a
+// learned unit. Such a clause can never propagate again and may be
+// reclaimed.
 func (s *Solver) satisfiedAtTopLevel(c *clause) bool {
 	for _, l := range c.lits {
 		if s.litValue(l) == lTrue && s.level[l.Var()] == 0 {
@@ -593,11 +548,10 @@ func (s *Solver) satisfiedAtTopLevel(c *clause) bool {
 }
 
 // releaseTopLevelReasons drops the antecedent references of top-level
-// assignments. Conflict analysis and core extraction skip level-0
-// literals, so these reasons are never dereferenced again — releasing
-// them unlocks their clauses for reclamation (a retracted activation
-// group whose guard propagated at the top level would otherwise stay
-// locked forever).
+// assignments. Conflict analysis skips level-0 literals, so these
+// reasons are never dereferenced again — releasing them unlocks their
+// clauses for reclamation (a clause that propagated a literal at the
+// top level would otherwise stay locked forever).
 func (s *Solver) releaseTopLevelReasons() {
 	end := len(s.trail)
 	if s.decisionLevel() > 0 {
@@ -605,23 +559,6 @@ func (s *Solver) releaseTopLevelReasons() {
 	}
 	for _, l := range s.trail[:end] {
 		s.reason[l.Var()] = -1
-	}
-}
-
-// purgeSatisfied reclaims clauses permanently satisfied at the top
-// level (retracted miter groups, units learned since). Called between
-// Solve calls, not in the search loop.
-func (s *Solver) purgeSatisfied() {
-	s.releaseTopLevelReasons()
-	any := false
-	for cref, c := range s.clauses {
-		if !s.locked(cref) && s.satisfiedAtTopLevel(c) {
-			c.deleted = true
-			any = true
-		}
-	}
-	if any {
-		s.compact()
 	}
 }
 
@@ -750,20 +687,12 @@ const ctxPollInterval = 128
 // On Sat, Model reports variable values. On Unknown the conflict budget
 // was exhausted; on Canceled the context fired first.
 func (s *Solver) solve(ctx context.Context, assumptions ...Lit) Status {
-	s.core = nil
 	s.Stats.SolveCalls++
 	if s.unsatisf {
 		return Unsat
 	}
 	if ctx != nil && ctx.Err() != nil {
 		return Canceled
-	}
-	if s.retired >= 64 {
-		// Enough groups were retracted since the last purge to make a
-		// database sweep worthwhile; between calls the trail is at the
-		// top level, so the purge sees the final retraction units.
-		s.purgeSatisfied()
-		s.retired = 0
 	}
 	s.conflicts = 0
 	s.decisions = 0
@@ -835,8 +764,7 @@ func (s *Solver) solve(ctx context.Context, assumptions ...Lit) Status {
 				s.trailLm = append(s.trailLm, int32(len(s.trail)))
 			case lFalse:
 				// The clause set refutes this assumption under the
-				// earlier ones: extract which assumptions conspired.
-				s.core = s.analyzeFinal(a)
+				// earlier ones.
 				return Unsat
 			default:
 				s.trailLm = append(s.trailLm, int32(len(s.trail)))
@@ -867,35 +795,6 @@ func (s *Solver) solve(ctx context.Context, assumptions ...Lit) Status {
 		s.trailLm = append(s.trailLm, int32(len(s.trail)))
 		s.enqueue(l, -1)
 	}
-}
-
-// NewActivation returns a fresh activation literal for a retractable
-// clause group: clauses added through AddGuarded(act, ...) are enforced
-// only by Solve calls that assume act, and Retract(act) disables the
-// group permanently. This is the MiniSat selector-variable idiom that
-// lets an incremental caller pose temporary constraints (one output
-// miter, say) over a persistent clause database without poisoning
-// later calls.
-func (s *Solver) NewActivation() Lit { return MkLit(s.NewVar(), false) }
-
-// AddGuarded adds a clause guarded by the activation literal act: the
-// disjunction of lits is enforced exactly in Solve calls assuming act.
-func (s *Solver) AddGuarded(act Lit, lits ...Lit) bool {
-	g := make([]Lit, 0, len(lits)+1)
-	g = append(g, lits...)
-	g = append(g, act.Not())
-	return s.AddClause(g...)
-}
-
-// Retract permanently disables the clause group guarded by act by
-// asserting its complement at the top level. The group's clauses — and
-// any learned clause mentioning ¬act — become forever satisfied; the
-// next database reduction reclaims them, and every 64th retraction
-// schedules a purge on the following Solve call so a long run of
-// retractable probes cannot accrete dead clauses.
-func (s *Solver) Retract(act Lit) bool {
-	s.retired++
-	return s.AddClause(act.Not())
 }
 
 // Solve decides satisfiability under the given assumptions.

@@ -91,9 +91,9 @@ type foldSpan struct {
 	name   string
 	parent uint64
 	miter  *MiterReport // set on "miter" spans
-	// first/last sampled solver gauges under this miter span. The gauges
-	// carry solver-lifetime values in incremental mode, so the in-span
-	// delta is the per-miter estimate.
+	// first/last sampled solver gauges under this miter span. A warm
+	// solver serves many miters, so the gauges can carry values from
+	// earlier probes; the in-span delta is the per-miter estimate.
 	firstConflicts, lastConflicts int64
 	firstDecisions, lastDecisions int64
 	sawConflicts, sawDecisions    bool

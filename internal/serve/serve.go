@@ -833,7 +833,7 @@ func (s *Server) execute(ctx context.Context, j *Job, attempt int) (*JobResult, 
 
 	engine, budgetMS := degradedOptions(req, attempt, s.opt.DefaultBudget)
 	opt := cec.Options{
-		Engine: engine, SATMode: req.SATMode,
+		Engine:       engine,
 		MaxConflicts: req.MaxConflicts, Workers: req.Workers,
 		Budget: s.clampBudget(budgetMS),
 	}
