@@ -167,12 +167,12 @@ func BenchmarkFig18Unroll(b *testing.B) {
 	}
 }
 
-// --- Ablation: CEC engines (hybrid vs sat-only vs bdd) ----------------
+// --- Ablation: CEC engines (hybrid vs sat-only vs bdd vs portfolio) ---
 
 func BenchmarkCECEngine(b *testing.B) {
 	sp, _ := findSpec("s1269")
 	h, j := prepareHJ(b, sp)
-	for _, engine := range []string{"hybrid", "sat", "bdd"} {
+	for _, engine := range []string{"hybrid", "sat", "bdd", "portfolio"} {
 		b.Run(engine, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := cec.Check(h, j, cec.Options{Engine: engine})

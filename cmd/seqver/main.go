@@ -185,7 +185,6 @@ func run() int {
 			surfaces += " /debug/profiles"
 		}
 		fmt.Fprintf(os.Stderr, "seqver: debug server on http://%s (%s)\n", dbg.Addr, surfaces)
-		ctx = metrics.WithRegistry(ctx, reg)
 	}
 
 	tracer, ring, err := buildTracer(*trace, *traceFormat, *progress, reg, *flight, *flightEvents)

@@ -35,7 +35,6 @@ import (
 
 	"seqver/internal/aig"
 	"seqver/internal/bdd"
-	"seqver/internal/metrics"
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
 )
@@ -163,16 +162,7 @@ func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Resul
 	defer func() {
 		res.Elapsed = time.Since(start)
 		res.Stats.ElapsedNS = res.Elapsed.Nanoseconds()
-		// Aggregate-telemetry feed (nil registry: all no-ops). Cold
-		// path — once per Check, after the verdict is known.
-		mreg := metrics.FromContext(ctx)
-		mreg.CounterL("seqver_checks_total",
-			"Completed equivalence checks, by verdict.",
-			"verdict", res.Verdict.String()).Inc()
-		mreg.Histogram("seqver_check_seconds",
-			"Wall-clock duration of whole equivalence checks.").Observe(res.Elapsed.Nanoseconds())
-		mreg.Counter("seqver_undecided_outputs_total",
-			"Output miters left unresolved by budget/limit exhaustion.").Add(int64(len(res.UndecidedOutputs)))
+		emitStats(sp, res) // runs before the deferred sp.End above
 	}()
 	if opt.Budget > 0 {
 		res.Stats.BudgetNS = opt.Budget.Nanoseconds()
@@ -191,6 +181,39 @@ func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Resul
 	default:
 		return nil, fmt.Errorf("cec: unknown engine %q", opt.Engine)
 	}
+}
+
+// emitStats folds the check's final Stats into the event stream once,
+// as counts and one gauge on the cec span. This is the only way CEC
+// totals reach aggregate telemetry: metrics.Sink turns each count into
+// its seqver_<name>_total family. Per-miter events stay live progress;
+// these are the exact totals.
+func emitStats(sp *obs.Span, res *Result) {
+	if sp == nil {
+		return
+	}
+	st := res.Stats
+	sp.Count("sat.calls", int64(st.SATCalls))
+	sp.Count("sat.conflicts", st.Conflicts)
+	sp.Count("sat.decisions", st.Decisions)
+	sp.Count("sat.clauses_reused", st.ClausesReused)
+	sp.Count("sat.vars_encoded", st.VarsEncoded)
+	sp.Count("sim.patterns", st.SimPatterns)
+	sp.Count("fraig.merges", int64(st.FraigMerges))
+	sp.Count("undecided_outputs", int64(len(res.UndecidedOutputs)))
+	sp.Gauge("sat.learned_db_size", lastLearned(st.PerOutput))
+}
+
+// lastLearned is the learned-clause count at the check's last SAT
+// probe: the probe of the last miter a worker took off the queue (the
+// queue runs in output order, so that is the highest-indexed one).
+func lastLearned(per []OutputStats) int64 {
+	for i := len(per) - 1; i >= 0; i-- {
+		if per[i].Worker >= 0 {
+			return int64(per[i].LearnedReused)
+		}
+	}
+	return 0
 }
 
 func sameOutputNames(c1, c2 *netlist.Circuit) error {

@@ -43,7 +43,6 @@ func TestSinksUnderParallelWorkers(t *testing.T) {
 		metrics.NewSink(reg),
 	)
 	ctx := obs.WithTracer(context.Background(), tr)
-	ctx = metrics.WithRegistry(ctx, reg)
 
 	for trial := 0; trial < 3; trial++ {
 		c := randomComb(rng)
@@ -80,6 +79,59 @@ func TestSinksUnderParallelWorkers(t *testing.T) {
 	}
 
 	checkChromeLanes(t, chrome.Bytes())
+}
+
+// TestMetricsFoldCountsOnce wires a check the way seqverd and
+// seqver -debug-addr do (a tracer whose sinks include metrics.Sink on
+// the served registry) and pins that every CEC family reaches the
+// registry exactly once: the counters equal the engine's exact Stats,
+// and the resolved-miter counter equals the miters taken off the queue.
+func TestMetricsFoldCountsOnce(t *testing.T) {
+	reg := metrics.NewRegistry()
+	tr := obs.New(metrics.NewSink(reg))
+	ctx := obs.WithTracer(context.Background(), tr)
+	res, err := CheckCtx(ctx, xorChainMulti(2, false), xorChainMulti(2, true),
+		Options{Engine: "sat", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	dequeued, last := 0, int64(0)
+	for _, o := range st.PerOutput {
+		if o.Worker >= 0 {
+			dequeued++
+			last = int64(o.LearnedReused)
+		}
+	}
+	if res.Verdict != Equivalent || dequeued != 2 || st.SATCalls == 0 {
+		t.Fatalf("want 2 SAT-proved miters: verdict %v, %d dequeued, %d SAT calls",
+			res.Verdict, dequeued, st.SATCalls)
+	}
+	ctr := func(name string) int64 { return reg.Counter(name, "").Value() }
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"seqver_miters_resolved_total", int64(dequeued)},
+		{"seqver_sat_calls_total", int64(st.SATCalls)},
+		{"seqver_sat_conflicts_total", st.Conflicts},
+		{"seqver_sat_decisions_total", st.Decisions},
+		{"seqver_sat_clauses_reused_total", st.ClausesReused},
+		{"seqver_sat_vars_encoded_total", st.VarsEncoded},
+		{"seqver_sim_patterns_total", st.SimPatterns},
+		{"seqver_fraig_merges_total", int64(st.FraigMerges)},
+		{"seqver_undecided_outputs_total", int64(len(res.UndecidedOutputs))},
+	} {
+		if got := ctr(c.name); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+	if got := reg.Gauge("seqver_sat_learned_db_size", "").Value(); got != last {
+		t.Errorf("seqver_sat_learned_db_size = %d, want %d (last probe)", got, last)
+	}
 }
 
 // checkChromeLanes decodes a Chrome trace and asserts per-lane sanity:

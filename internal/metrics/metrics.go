@@ -6,26 +6,21 @@
 //
 // It complements internal/obs, which records *per-run event streams*:
 // obs answers "what did this run do, in order", metrics answers "what
-// has this process done, in aggregate". The two are fed from the same
-// instrumentation in two ways:
+// has this process done, in aggregate". Pipeline facts reach a registry
+// by one path: Sink folds a tracer's event stream into it — span
+// durations become the seqver_phase_seconds histogram, counts become
+// counters, gauges become gauges — so every obs-instrumented phase gets
+// metrics for free. Only the process's own machinery (the daemon's job
+// queue, cache and journal, the profile ring, the runtime collector)
+// holds handles directly.
 //
-//   - Hot paths update pre-resolved handles directly (a *Counter held in
-//     a struct field, updated with one atomic add per event). The
-//     handles obey the same contract obs pins for tracing: with no
-//     registry installed, every lookup and every update is one nil check
-//     and zero allocations (TestNoRegistryZeroAlloc).
-//   - Sink folds a tracer's event stream into a registry — span
-//     durations become the seqver_phase_seconds histogram, counts become
-//     counters, gauges become gauges — so every obs-instrumented phase
-//     gets metrics for free.
-//
-// A Registry rides the context like a tracer does (WithRegistry /
-// FromContext); nil receivers are no-ops everywhere, so call sites never
-// branch on whether metrics are enabled.
+// Nil receivers are no-ops everywhere: a nil registry hands out nil
+// handles, and every lookup and update on them is one nil check and
+// zero allocations (TestNoRegistryZeroAlloc), the same contract obs
+// pins for the absent tracer.
 package metrics
 
 import (
-	"context"
 	"math"
 	"math/bits"
 	"sort"
@@ -459,23 +454,4 @@ func (f *family) seriesSorted() []*series {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].labelVal < out[j].labelVal })
 	return out
-}
-
-type registryKey struct{}
-
-// WithRegistry returns a context carrying the registry, mirroring
-// obs.WithTracer: instrumented layers below pick it up with FromContext.
-func WithRegistry(ctx context.Context, r *Registry) context.Context {
-	return context.WithValue(ctx, registryKey{}, r)
-}
-
-// FromContext returns the context's registry, or nil when none is
-// installed. A nil context yields nil; the result's methods are all
-// nil-safe either way.
-func FromContext(ctx context.Context) *Registry {
-	if ctx == nil {
-		return nil
-	}
-	r, _ := ctx.Value(registryKey{}).(*Registry)
-	return r
 }

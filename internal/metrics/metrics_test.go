@@ -12,19 +12,18 @@ import (
 	"seqver/internal/obs"
 )
 
-// TestNoRegistryZeroAlloc pins the "metrics off" contract: with no
-// registry on the context, every lookup and every handle update is a
-// nil check and nothing else. This is the metrics twin of obs's
-// TestNoTracerZeroAlloc — hot paths (SAT inner loop, miter workers)
-// call these unconditionally.
+// TestNoRegistryZeroAlloc pins the "metrics off" contract: on a nil
+// registry, every lookup and every handle update is a nil check and
+// nothing else. This is the metrics twin of obs's
+// TestNoTracerZeroAlloc — components built without a registry call
+// these unconditionally.
 func TestNoRegistryZeroAlloc(t *testing.T) {
-	ctx := context.Background()
+	var reg *Registry // metrics off
 	allocs := testing.AllocsPerRun(1000, func() {
-		reg := FromContext(ctx) // nil: no registry installed
-		reg.Counter("seqver_sat_calls_total", "h").Inc()
-		reg.CounterL("seqver_checks_total", "h", "verdict", "equal").Add(3)
-		reg.Gauge("seqver_bdd_nodes", "h").Set(42)
-		reg.Histogram("seqver_miter_seconds", "h").Observe(1234)
+		reg.Counter("seqver_cache_hits_total", "h").Inc()
+		reg.CounterL("seqverd_job_verdicts_total", "h", "verdict", "equivalent").Add(3)
+		reg.Gauge("seqver_jobs_running", "h").Set(42)
+		reg.Histogram("seqver_job_seconds", "h").Observe(1234)
 	})
 	if allocs != 0 {
 		t.Fatalf("no-registry fast path allocates: %v allocs/op, want 0", allocs)
@@ -147,27 +146,13 @@ func TestRegistryKindConflict(t *testing.T) {
 
 func TestRegistryLabeledSeries(t *testing.T) {
 	reg := NewRegistry()
-	reg.CounterL("seqver_checks_total", "h", "verdict", "equal").Add(2)
-	reg.CounterL("seqver_checks_total", "h", "verdict", "cex").Add(1)
-	if got := reg.CounterL("seqver_checks_total", "h", "verdict", "equal").Value(); got != 2 {
-		t.Fatalf("equal series = %d, want 2", got)
+	reg.CounterL("seqverd_job_verdicts_total", "h", "verdict", "equivalent").Add(2)
+	reg.CounterL("seqverd_job_verdicts_total", "h", "verdict", "inequivalent").Add(1)
+	if got := reg.CounterL("seqverd_job_verdicts_total", "h", "verdict", "equivalent").Value(); got != 2 {
+		t.Fatalf("equivalent series = %d, want 2", got)
 	}
-	if got := reg.CounterL("seqver_checks_total", "h", "verdict", "cex").Value(); got != 1 {
-		t.Fatalf("cex series = %d, want 1", got)
-	}
-}
-
-func TestWithRegistryRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	ctx := WithRegistry(context.Background(), reg)
-	if FromContext(ctx) != reg {
-		t.Fatal("FromContext must return the installed registry")
-	}
-	if FromContext(context.Background()) != nil {
-		t.Fatal("FromContext on a bare context must be nil")
-	}
-	if FromContext(nil) != nil {
-		t.Fatal("FromContext(nil) must be nil")
+	if got := reg.CounterL("seqverd_job_verdicts_total", "h", "verdict", "inequivalent").Value(); got != 1 {
+		t.Fatalf("inequivalent series = %d, want 1", got)
 	}
 }
 

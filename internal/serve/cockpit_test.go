@@ -9,11 +9,13 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"seqver/internal/cec"
 	"seqver/internal/metrics"
 	"seqver/internal/obs"
 )
@@ -375,6 +377,77 @@ func TestJobReportMatchesTrace(t *testing.T) {
 			t.Fatalf("missing job: HTTP %d", resp.StatusCode)
 		}
 		resp.Body.Close()
+	}
+}
+
+// TestJobReportSATExact pins the report's solver numbers to the
+// engine's exact accounting for a finished, uncached job with real SAT
+// miters. Report never reads Result.Stats: folding the served trace on
+// its own must reproduce every number.
+func TestJobReportSATExact(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	c := &Client{Base: ts.URL}
+	v := submitWait(t, c, &JobRequest{
+		Golden:  SideSpec{Corpus: "s400"},
+		Revised: SideSpec{Corpus: "s400:synth"},
+		Engine:  "sat", NoCache: true,
+	})
+	if v.Status != StatusDone || v.Result.Cached {
+		t.Fatalf("job: %+v", v)
+	}
+	st := v.Result.Stats
+	if st == nil || st.SATCalls == 0 {
+		t.Fatalf("want a job with SAT miters, got stats %+v", st)
+	}
+
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + v.ID + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var rep JobReport
+	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Engine != st.Engine {
+		t.Errorf("report engine %q, stats engine %q", rep.Engine, st.Engine)
+	}
+	want := SATReport{Calls: st.SATCalls, Conflicts: st.Conflicts, Decisions: st.Decisions}
+	if rep.SAT == nil || *rep.SAT != want {
+		t.Errorf("report sat %+v, stats %+v", rep.SAT, want)
+	}
+	if rep.Miters == nil || len(rep.Miters.Slowest) == 0 {
+		t.Fatalf("report has no miters: %+v", rep)
+	}
+	per := map[string]cec.OutputStats{}
+	for _, o := range st.PerOutput {
+		per[o.Name] = o
+	}
+	for _, m := range rep.Miters.Slowest {
+		o, ok := per[m.Output]
+		if !ok {
+			t.Fatalf("report miter %q not in stats", m.Output)
+		}
+		if m.Conflicts != o.Conflicts || m.Decisions != o.Decisions ||
+			m.Status != o.Status || m.Engine != o.Engine {
+			t.Errorf("miter %q: report %+v, stats %+v", m.Output, m, o)
+		}
+	}
+
+	trace, err := c.Trace(context.Background(), v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.DecodeJSONL(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var folded JobReport
+	foldTrace(&folded, events)
+	if folded.Engine != rep.Engine || !reflect.DeepEqual(folded.SAT, rep.SAT) ||
+		!reflect.DeepEqual(folded.Miters, rep.Miters) {
+		t.Errorf("trace alone folds to engine %q sat %+v miters %+v; report has %q %+v %+v",
+			folded.Engine, folded.SAT, folded.Miters, rep.Engine, rep.SAT, rep.Miters)
 	}
 }
 

@@ -8,13 +8,12 @@ import (
 )
 
 // The job report is the dashboard's drill-down view: the job's JSONL
-// trace folded into a phase/miter waterfall. It is derived entirely
-// from data the daemon already keeps — the fanSink's buffered trace
-// plus the engine's exact per-output Stats when the job finished with
-// them — so a running job reports its partial waterfall and a finished
-// one reports the full story. Where the trace only has throttled
-// solver gauges (sat.conflicts is sampled, not exact), the engine's
-// per-output deltas overwrite the approximation.
+// trace folded into a phase/miter waterfall. It reads the trace and
+// nothing else — the fanSink's buffer of the current attempt — so a
+// running job reports the exact numbers of the miters resolved so far
+// and a finished one reports the full story. Each miter's "resolved"
+// instant carries its exact per-probe solver effort, and the "cec"
+// span's begin carries the engine.
 
 // slowestMiters bounds the per-miter detail in a report: the k slowest
 // miters are listed individually, the rest fold into the summary.
@@ -91,16 +90,10 @@ type foldSpan struct {
 	name   string
 	parent uint64
 	miter  *MiterReport // set on "miter" spans
-	// first/last sampled solver gauges under this miter span. A warm
-	// solver serves many miters, so the gauges can carry values from
-	// earlier probes; the in-span delta is the per-miter estimate.
-	firstConflicts, lastConflicts int64
-	firstDecisions, lastDecisions int64
-	sawConflicts, sawDecisions    bool
 }
 
-// Report folds the job's buffered trace (plus its result, when
-// terminal) into a JobReport.
+// Report folds the job's buffered trace into a JobReport; the job's
+// view supplies only the header (status, attempts, verdict).
 func (s *Server) Report(j *Job) *JobReport {
 	data, truncated := j.fan.trace()
 	// The fan buffer only ever drops whole appended chunks past its cap,
@@ -119,24 +112,23 @@ func (s *Server) Report(j *Job) *JobReport {
 	if v.Result != nil {
 		rep.Verdict = v.Result.Verdict
 		rep.Cached = v.Result.Cached
-		if v.Result.Stats != nil {
-			rep.Engine = v.Result.Stats.Engine
-		}
 	}
 	foldTrace(rep, events)
-	overlayStats(rep, v)
 	return rep
 }
 
 // foldTrace walks the decoded events once, aggregating spans into
 // phases, miter spans into the waterfall, and budget/cache instants
-// into their summaries. Gauges and instants attach to their nearest
-// enclosing miter span (portfolio arms open child spans under it).
+// into their summaries. Instants attach to their nearest enclosing
+// miter span (portfolio arms open child spans under it). The SAT totals
+// sum the resolved instants, so they are exact for every miter the
+// trace holds; a truncated trace yields partial totals.
 func foldTrace(rep *JobReport, events []obs.Event) {
 	spans := map[uint64]*foldSpan{}
 	phases := map[string]*PhaseReport{}
 	var miters []*MiterReport
 	budget := &BudgetReport{}
+	var sat *SATReport
 	var maxTS, jobDur int64
 
 	miterOf := func(id uint64) *foldSpan {
@@ -161,7 +153,11 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 		case "begin":
 			sp := &foldSpan{name: ev.Name, parent: ev.Parent}
 			spans[ev.Span] = sp
-			if ev.Name == "miter" {
+			switch ev.Name {
+			case "cec":
+				rep.Engine = obs.AttrStr(ev.Attrs, "engine")
+				sat = &SATReport{}
+			case "miter":
 				sp.miter = &MiterReport{
 					Output:  obs.AttrStr(ev.Attrs, "output"),
 					StartNS: ev.TS,
@@ -186,8 +182,6 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 			}
 			if sp.miter != nil {
 				sp.miter.DurNS = ev.Dur
-				sp.miter.Conflicts = gaugeDelta(sp.sawConflicts, sp.firstConflicts, sp.lastConflicts)
-				sp.miter.Decisions = gaugeDelta(sp.sawDecisions, sp.firstDecisions, sp.lastDecisions)
 			}
 			if sp.name == "job" && ev.Dur > jobDur {
 				jobDur = ev.Dur
@@ -199,6 +193,13 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 				if m != nil {
 					m.miter.Status = obs.AttrStr(ev.Attrs, "status")
 					m.miter.Engine = obs.AttrStr(ev.Attrs, "engine")
+					m.miter.Conflicts = obs.AttrInt(ev.Attrs, "conflicts")
+					m.miter.Decisions = obs.AttrInt(ev.Attrs, "decisions")
+				}
+				if sat != nil {
+					sat.Calls += int(obs.AttrInt(ev.Attrs, "sat_calls"))
+					sat.Conflicts += obs.AttrInt(ev.Attrs, "conflicts")
+					sat.Decisions += obs.AttrInt(ev.Attrs, "decisions")
 				}
 			case "budget.slice":
 				ns := obs.AttrInt(ev.Attrs, "slice_ns")
@@ -215,23 +216,6 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 				}
 			case "cache":
 				rep.CacheOutcome = obs.AttrStr(ev.Attrs, "outcome")
-			}
-		case "gauge":
-			m := miterOf(ev.Span)
-			if m == nil {
-				continue
-			}
-			switch ev.Name {
-			case "sat.conflicts":
-				if !m.sawConflicts {
-					m.firstConflicts, m.sawConflicts = ev.Value, true
-				}
-				m.lastConflicts = ev.Value
-			case "sat.decisions":
-				if !m.sawDecisions {
-					m.firstDecisions, m.sawDecisions = ev.Value, true
-				}
-				m.lastDecisions = ev.Value
 			}
 		}
 	}
@@ -258,16 +242,10 @@ func foldTrace(rep *JobReport, events []obs.Event) {
 	if budget.SlicesNS > 0 || budget.Donations > 0 {
 		rep.Budget = budget
 	}
+	rep.SAT = sat
 	if len(miters) > 0 {
 		rep.Miters = summarizeMiters(miters)
 	}
-}
-
-func gaugeDelta(saw bool, first, last int64) int64 {
-	if !saw || last < first {
-		return 0
-	}
-	return last - first
 }
 
 func summarizeMiters(miters []*MiterReport) *MiterSummary {
@@ -294,42 +272,4 @@ func summarizeMiters(miters []*MiterReport) *MiterSummary {
 		sum.Slowest = append(sum.Slowest, *m)
 	}
 	return sum
-}
-
-// overlayStats replaces trace-derived approximations with the engine's
-// exact accounting when the job carries Stats: the throttled
-// sat.conflicts gauges undercount short probes, while OutputStats holds
-// the true per-probe deltas.
-func overlayStats(rep *JobReport, v *JobView) {
-	if v.Result == nil {
-		return
-	}
-	st := v.Result.Stats
-	if st == nil {
-		if v.Result.SATCalls > 0 {
-			rep.SAT = &SATReport{Calls: v.Result.SATCalls}
-		}
-		return
-	}
-	rep.SAT = &SATReport{Calls: st.SATCalls, Conflicts: st.Conflicts, Decisions: st.Decisions}
-	if rep.Miters == nil || len(st.PerOutput) == 0 {
-		return
-	}
-	exact := make(map[string]int, len(st.PerOutput))
-	for i := range st.PerOutput {
-		exact[st.PerOutput[i].Name] = i
-	}
-	for i := range rep.Miters.Slowest {
-		m := &rep.Miters.Slowest[i]
-		if k, ok := exact[m.Output]; ok {
-			o := &st.PerOutput[k]
-			m.Conflicts, m.Decisions = o.Conflicts, o.Decisions
-			if o.Status != "" {
-				m.Status = o.Status
-			}
-			if o.Engine != "" {
-				m.Engine = o.Engine
-			}
-		}
-	}
 }

@@ -699,7 +699,6 @@ func (s *Server) run(j *Job) {
 	}
 	tr := obs.New(j.fan, metrics.NewSink(s.reg))
 	ctx := obs.WithTracer(s.baseCtx, tr)
-	ctx = metrics.WithRegistry(ctx, s.reg)
 	// The job id rides the context as baggage from here on: every span
 	// the pipeline opens and every slog line under this context carries
 	// job_id without the call sites knowing about it.
