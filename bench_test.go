@@ -169,21 +169,25 @@ func BenchmarkFig18Unroll(b *testing.B) {
 
 // --- Ablation: CEC engines (hybrid vs sat-only vs bdd vs portfolio) ---
 
+// BenchmarkCECEngine times every engine on the s1269 and s3384 H/J
+// pairs; EXPERIMENTS.md "CEC engine audit" records which engine wins.
 func BenchmarkCECEngine(b *testing.B) {
-	sp, _ := findSpec("s1269")
-	h, j := prepareHJ(b, sp)
-	for _, engine := range []string{"hybrid", "sat", "bdd", "portfolio"} {
-		b.Run(engine, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := cec.Check(h, j, cec.Options{Engine: engine})
-				if err != nil {
-					b.Fatal(err)
+	for _, circuit := range []string{"s1269", "s3384"} {
+		sp, _ := findSpec(circuit)
+		h, j := prepareHJ(b, sp)
+		for _, engine := range []string{"hybrid", "sat", "bdd", "portfolio"} {
+			b.Run(circuit+"/"+engine, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					res, err := cec.Check(h, j, cec.Options{Engine: engine})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Verdict == cec.Inequivalent {
+						b.Fatal("inequivalent")
+					}
 				}
-				if res.Verdict == cec.Inequivalent {
-					b.Fatal("inequivalent")
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package aig
 
 import (
 	"context"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -40,8 +41,14 @@ type FraigStats struct {
 	NodesBefore int // AND nodes in the input AIG
 	NodesAfter  int // AND nodes after merging and compaction
 	Merges      int // nodes merged into a proven-equivalent representative
-	ProveCalls  int // SAT equivalence proofs attempted
-	ProveFailed int // candidates kept separate (refuted or budget hit)
+	ProveCalls  int // candidate pairs sent to SAT
+	ProveFailed int // pairs SAT kept separate (refuted or budget hit)
+	// CexSkipped counts candidate pairs never sent to SAT because a
+	// stored counterexample already tells them apart.
+	CexSkipped int
+	// Recycles counts how often the sweep solver was replaced by a
+	// fresh one after growing past sweepSolverVars variables.
+	Recycles int
 	// Classes holds the proven equivalences over the input AIG; only
 	// populated under FraigOptions.RecordClasses.
 	Classes []EquivPair
@@ -81,6 +88,24 @@ func FraigEx(a *AIG, opt FraigOptions) (*AIG, *FraigStats) {
 // function-identical AIG promptly — possibly less reduced than an
 // unbudgeted run would produce, but never wrong. A nil ctx never fires.
 func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStats) {
+	return fraigSweep(ctx, a, opt, nil)
+}
+
+// sweepSolverVars caps the sweep solver's size. A Sat answer assigns
+// every variable the solver has ever encoded, so a refutation on a
+// sweep-wide solver costs time in proportion to all cones proved so far
+// rather than to the two cones at hand. Like ABC's cec sweeper, the
+// sweep starts a fresh solver once the old one has grown past this many
+// variables; the learned clauses lost are cheap to re-derive on
+// fraig-sized proofs. On the verify benchmark, caps from 250 to 2000
+// measured alike, 4000 was slower, and no cap at all left the sweep
+// about 1.5 times slower.
+const sweepSolverVars = 1000
+
+// fraigSweep is FraigExCtx. onSkip, when non-nil, sees every candidate
+// pair the counterexample filter keeps from SAT, with the output AIG
+// and the PI assignment on which the two edges differ.
+func fraigSweep(ctx context.Context, a *AIG, opt FraigOptions, onSkip func(out *AIG, x, y Lit, in []bool)) (*AIG, *FraigStats) {
 	opt.defaults()
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 	k := opt.SimWords
@@ -110,9 +135,11 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	// AIG's leading nodes exactly).
 	sig := make([][]uint64, 0, a.NumNodes())
 	sig = append(sig, sigIn[:a.numPIs+1]...)
+	cex := &cexRing{a: out, words: make([]uint64, 0, cexWords*a.NumNodes())}
+	cex.grow()
 
-	solver := sat.New(0)
-	cnf := &CNFMap{VarOf: make(map[uint32]int)}
+	var solver *sat.Solver
+	var cnf *CNFMap
 	// expired flips once the context fires; from then on no further merge
 	// proofs are attempted and the loop below is a pure structural copy.
 	expired := false
@@ -127,17 +154,36 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 		}
 		return expired
 	}
+	// prove reports whether x ≡ y. A Sat answer's PI values become a
+	// stored counterexample; PIs outside the solver's CNF cannot affect
+	// either cone and take 0.
 	prove := func(x, y Lit) bool {
+		if solver == nil || solver.NumVars() > sweepSolverVars {
+			if solver != nil {
+				stats.Recycles++
+			}
+			solver = sat.New(0)
+			cnf = &CNFMap{VarOf: make(map[uint32]int)}
+		}
 		stats.ProveCalls++
 		lx := out.Encode(solver, cnf, x)
 		ly := out.Encode(solver, cnf, y)
 		solver.MaxConflicts = opt.MaxConflicts
-		ok := solver.SolveCtx(ctx, lx, ly.Not()) == sat.Unsat &&
-			solver.SolveCtx(ctx, lx.Not(), ly) == sat.Unsat
-		if !ok {
-			stats.ProveFailed++
+		st := solver.SolveCtx(ctx, lx, ly.Not())
+		if st == sat.Unsat {
+			st = solver.SolveCtx(ctx, lx.Not(), ly)
 		}
-		return ok
+		if st == sat.Unsat {
+			return true
+		}
+		stats.ProveFailed++
+		if st == sat.Sat {
+			cex.add(func(pi uint32) bool {
+				v, ok := cnf.VarOf[pi]
+				return ok && solver.Model(v)
+			})
+		}
+		return false
 	}
 
 	// normEdge returns the polarity-normalized edge of a node (bit 0 of
@@ -205,14 +251,28 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 			// Fresh structural node: function-identical to input node i,
 			// so its signature was already computed in the sharded pass.
 			sig = append(sig, sigIn[i])
+			cex.grow()
 			me := normEdge(nd)
 			key := classKey(nd)
 			merged := false
+			// Counterexamples only filter candidates; the classes keep
+			// their keys and order, so the merges are the ones an
+			// unfiltered sweep would make.
 			for ci, cand := range classes[key] {
 				if ci >= opt.MaxClassSize || pollCtx() {
 					break
 				}
-				if sameSig(sig, me, cand, k) && prove(me, cand) {
+				if !sameSig(sig, me, cand, k) {
+					continue
+				}
+				if slot := cex.differ(me, cand); slot >= 0 {
+					stats.CexSkipped++
+					if onSkip != nil {
+						onSkip(out, me, cand, cex.pattern(slot))
+					}
+					continue
+				}
+				if prove(me, cand) {
 					// me ≡ cand, so node nd == cand adjusted for nd's
 					// normalization polarity.
 					e = cand.NotIf(me.Compl()).NotIf(e.Compl())
@@ -247,6 +307,87 @@ func FraigExCtx(ctx context.Context, a *AIG, opt FraigOptions) (*AIG, *FraigStat
 	res := Compact(out)
 	stats.NodesAfter = res.NumAnds()
 	return res, stats
+}
+
+// cexWords is the size of the counterexample ring in 64-pattern words.
+const cexWords = 4
+
+// cexRing keeps the sweep's SAT counterexamples as simulation patterns
+// over the output AIG a: cexWords words per node, node-major. Pattern n
+// lives in bit slot n mod 64·cexWords, so once the ring is full a new
+// counterexample overwrites the oldest one.
+type cexRing struct {
+	a     *AIG
+	words []uint64
+	n     int // patterns added so far
+}
+
+// grow simulates the nodes a gained since the last call.
+func (r *cexRing) grow() {
+	for nd := len(r.words) / cexWords; nd < r.a.NumNodes(); nd++ {
+		if nd <= r.a.numPIs {
+			r.words = append(r.words, make([]uint64, cexWords)...)
+			continue
+		}
+		for w := 0; w < cexWords; w++ {
+			r.words = append(r.words, r.and(uint32(nd), w))
+		}
+	}
+}
+
+func (r *cexRing) and(nd uint32, w int) uint64 {
+	return r.lit(r.a.fanin0[nd], w) & r.lit(r.a.fanin1[nd], w)
+}
+
+func (r *cexRing) lit(e Lit, w int) uint64 {
+	v := r.words[int(e.Node())*cexWords+w]
+	if e.Compl() {
+		return ^v
+	}
+	return v
+}
+
+// add stores the PI assignment val as the newest pattern and
+// re-simulates the one word it landed in.
+func (r *cexRing) add(val func(pi uint32) bool) {
+	slot := r.n % (64 * cexWords)
+	r.n++
+	w, bit := slot/64, uint64(1)<<(slot%64)
+	for pi := 1; pi <= r.a.numPIs; pi++ {
+		i := pi*cexWords + w
+		if val(uint32(pi)) {
+			r.words[i] |= bit
+		} else {
+			r.words[i] &^= bit
+		}
+	}
+	for nd := r.a.numPIs + 1; nd < r.a.NumNodes(); nd++ {
+		r.words[nd*cexWords+w] = r.and(uint32(nd), w)
+	}
+}
+
+// differ returns a pattern slot on which edges x and y take different
+// values, or -1 if they agree on every stored pattern.
+func (r *cexRing) differ(x, y Lit) int {
+	for w := 0; w < cexWords && w*64 < r.n; w++ {
+		d := r.lit(x, w) ^ r.lit(y, w)
+		if valid := r.n - w*64; valid < 64 {
+			d &= uint64(1)<<valid - 1
+		}
+		if d != 0 {
+			return w*64 + bits.TrailingZeros64(d)
+		}
+	}
+	return -1
+}
+
+// pattern returns the PI assignment stored in slot.
+func (r *cexRing) pattern(slot int) []bool {
+	in := make([]bool, r.a.numPIs)
+	for pi := range in {
+		in[pi] = r.words[(pi+1)*cexWords+slot/64]>>(slot%64)&1 == 1
+	}
+	return in
 }
 
 func sameSig(sig [][]uint64, x, y Lit, k int) bool {

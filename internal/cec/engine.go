@@ -93,6 +93,9 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 			fsp.Gauge("fraig.nodes_before", int64(st.FraigNodesBefore))
 			fsp.Gauge("fraig.nodes_after", int64(fst.NodesAfter))
 			fsp.Gauge("fraig.merges", int64(fst.Merges))
+			fsp.Gauge("fraig.prove_calls", int64(fst.ProveCalls))
+			fsp.Gauge("fraig.cex_skipped", int64(fst.CexSkipped))
+			fsp.Gauge("fraig.recycles", int64(fst.Recycles))
 		}
 		fmem.End()
 		fsp.End()

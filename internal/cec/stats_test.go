@@ -1,10 +1,13 @@
 package cec
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
+
+	"seqver/internal/obs"
 )
 
 // fullStats builds a Stats with every field populated, including the
@@ -109,5 +112,47 @@ func TestStatsStringZeroElapsed(t *testing.T) {
 	got := (&Stats{Engine: "hybrid", Workers: 1}).String()
 	if strings.Contains(got, "NaN") || strings.Contains(got, "Inf") {
 		t.Errorf("zero-elapsed Stats rendered a non-finite number:\n%s", got)
+	}
+}
+
+// TestFraigSpanGauges pins the sweep's accounting on the fraig span:
+// merges and SAT-bound pairs agree with Stats, and the counterexample
+// skips and solver recycles are reported beside them.
+func TestFraigSpanGauges(t *testing.T) {
+	ring := obs.NewRingSink(4096)
+	tr := obs.New(ring)
+	res, err := CheckCtx(obs.WithTracer(context.Background(), tr), xorChainMulti(2, false), xorChainMulti(2, true), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var fraigSpan uint64
+	gauges := map[string]int64{}
+	for _, ev := range ring.Events() {
+		switch {
+		case ev.Type == obs.EvBegin && ev.Name == "fraig":
+			fraigSpan = ev.Span
+		case ev.Type == obs.EvGauge && ev.Span == fraigSpan && fraigSpan != 0:
+			gauges[ev.Name] = ev.Value
+		}
+	}
+	st := res.Stats
+	if st.FraigProveCalls == 0 {
+		t.Fatalf("premise: the sweep sent no pair to SAT: %+v", st)
+	}
+	for name, want := range map[string]int64{
+		"fraig.merges":      int64(st.FraigMerges),
+		"fraig.prove_calls": int64(st.FraigProveCalls),
+	} {
+		if got, ok := gauges[name]; !ok || got != want {
+			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"fraig.cex_skipped", "fraig.recycles"} {
+		if _, ok := gauges[name]; !ok {
+			t.Errorf("fraig span has no %s gauge: %v", name, gauges)
+		}
 	}
 }

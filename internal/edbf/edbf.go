@@ -50,15 +50,6 @@ type Event struct {
 	Depth int
 }
 
-func (e Event) key() string {
-	var sb strings.Builder
-	for _, el := range e.Elems {
-		fmt.Fprintf(&sb, "p%dd%d;", el.Pred, el.Delta)
-	}
-	fmt.Fprintf(&sb, "|%d", e.Depth)
-	return sb.String()
-}
-
 // Ctx holds the shared predicate and event tables. Both circuits of a
 // comparison must be unrolled through the same Ctx so that variable names
 // align.
@@ -69,6 +60,11 @@ type Ctx struct {
 	preds   []bdd.Ref
 	eventID map[string]int
 	events  []Event
+	keyBuf  []byte // internEvent's key, reused across calls
+	// steps memoizes latch crossings: (event id, predicate id or -1 for
+	// a regular latch) -> next event id, valid for stepsRewrite.
+	steps        map[[2]int]int
+	stepsRewrite bool
 
 	// Rewrite enables the paper's Eq. 5 event rewriting:
 	// η[p(τ-k), q(τ-k-1)] = η[q(τ-k-1)] when q implies p.
@@ -104,14 +100,47 @@ func (cx *Ctx) internPred(f bdd.Ref) int {
 	return id
 }
 
+// internEvent returns e's id, interning it on first sight. The key
+// "p<pred>d<delta>;...|<depth>" is built in a reused buffer, and the
+// lookup through string(buf) does not allocate.
 func (cx *Ctx) internEvent(e Event) int {
-	k := e.key()
-	if id, ok := cx.eventID[k]; ok {
+	b := cx.keyBuf[:0]
+	for _, el := range e.Elems {
+		b = append(b, 'p')
+		b = strconv.AppendInt(b, int64(el.Pred), 10)
+		b = append(b, 'd')
+		b = strconv.AppendInt(b, int64(el.Delta), 10)
+		b = append(b, ';')
+	}
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(e.Depth), 10)
+	cx.keyBuf = b
+	if id, ok := cx.eventID[string(b)]; ok {
 		return id
 	}
 	id := len(cx.events)
 	cx.events = append(cx.events, e)
-	cx.eventID[k] = id
+	cx.eventID[string(b)] = id
+	return id
+}
+
+// step returns the event a value sampled under event ev has once it
+// crosses one more latch enabled by predicate pred (-1 for a regular
+// latch). The next event is built, canonized and interned once per
+// distinct crossing, not once per (latch, event) pair.
+func (cx *Ctx) step(ev, pred int) int {
+	k := [2]int{ev, pred}
+	if id, ok := cx.steps[k]; ok {
+		return id
+	}
+	e := cx.events[ev]
+	next := Event{Elems: make([]Element, len(e.Elems), len(e.Elems)+1), Depth: e.Depth + 1}
+	copy(next.Elems, e.Elems)
+	if pred >= 0 {
+		next.Elems = append(next.Elems, Element{Pred: pred, Delta: e.Depth})
+	}
+	id := cx.internEvent(cx.canon(next))
+	cx.steps[k] = id
 	return id
 }
 
@@ -286,6 +315,10 @@ func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 		return nil, err
 	}
 	out := netlist.New(c.Name + "_edbf")
+	if cx.steps == nil || cx.stepsRewrite != cx.Rewrite {
+		cx.steps = make(map[[2]int]int)
+		cx.stepsRewrite = cx.Rewrite
+	}
 
 	predMemo := make(map[int]bdd.Ref)
 	type key struct {
@@ -319,8 +352,7 @@ func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 			}
 			nid = pid
 		case netlist.KindLatch:
-			e := cx.events[ev]
-			next := Event{Elems: append([]Element(nil), e.Elems...), Depth: e.Depth + 1}
+			predID := -1
 			if n.Enable != netlist.NoEnable {
 				pred, err := cx.predicateOf(c, n.Enable, predMemo)
 				if err != nil {
@@ -336,12 +368,11 @@ func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 					memo[k] = nid
 					return nid, nil
 				default:
-					next.Elems = append(next.Elems, Element{Pred: cx.internPred(pred), Delta: e.Depth})
+					predID = cx.internPred(pred)
 				}
 			}
-			nextID := cx.internEvent(cx.canon(next))
 			var err error
-			nid, err = rec(n.Data(), nextID)
+			nid, err = rec(n.Data(), cx.step(ev, predID))
 			if err != nil {
 				return 0, err
 			}
