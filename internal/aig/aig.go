@@ -387,7 +387,7 @@ func FromCircuit(c *netlist.Circuit) (*AIG, error) {
 		for j, f := range n.Fanins {
 			fins[j] = lit[f]
 		}
-		lit[id] = a.gateToAIG(n, fins)
+		lit[id] = a.Gate(n, fins)
 	}
 	for _, o := range c.Outputs {
 		a.AddPO(o.Name, lit[o.Node])
@@ -395,7 +395,10 @@ func FromCircuit(c *netlist.Circuit) (*AIG, error) {
 	return a, nil
 }
 
-func (a *AIG) gateToAIG(n *netlist.Node, in []Lit) Lit {
+// Gate adds the AND-decomposition of combinational gate n over the
+// fanin edges in and returns its output edge. It reads in without
+// keeping it, so callers may reuse one buffer across gates.
+func (a *AIG) Gate(n *netlist.Node, in []Lit) Lit {
 	switch n.Op {
 	case netlist.OpConst0:
 		return False

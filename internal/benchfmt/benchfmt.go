@@ -38,8 +38,8 @@ type WorkerResult struct {
 	// Allocation profile of the measured iterations — per-op averages
 	// from runtime/metrics deltas around the timed loop. Zero in files
 	// predating the alloc schema; Compare skips the alloc gate for such
-	// rows. These are the numbers the ROADMAP's struct-of-arrays
-	// refactor must move.
+	// rows. These are the numbers an allocation change must move, as
+	// building the miter straight from the unrollers did.
 	AllocsPerOp int64 `json:"allocs_per_op,omitempty"`
 	BytesPerOp  int64 `json:"bytes_per_op,omitempty"`
 	// GCPauseNSOp is the estimated stop-the-world pause accrued per op

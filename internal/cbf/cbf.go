@@ -64,11 +64,15 @@ func CheckAcyclic(c *netlist.Circuit) error {
 		id   int
 		next int
 	}
-	edges := func(n *netlist.Node) []int {
-		if n.Kind == netlist.KindLatch && n.Enable != netlist.NoEnable {
-			return append(append([]int(nil), n.Fanins...), n.Enable)
+	// edge returns n's i-th edge: its fanins, then a latch's enable.
+	edge := func(n *netlist.Node, i int) (int, bool) {
+		if i < len(n.Fanins) {
+			return n.Fanins[i], true
 		}
-		return n.Fanins
+		if i == len(n.Fanins) && n.Kind == netlist.KindLatch && n.Enable != netlist.NoEnable {
+			return n.Enable, true
+		}
+		return 0, false
 	}
 	var stack []frame
 	for root := range c.Nodes {
@@ -79,9 +83,7 @@ func CheckAcyclic(c *netlist.Circuit) error {
 		stack = append(stack[:0], frame{root, 0})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			es := edges(c.Nodes[f.id])
-			if f.next < len(es) {
-				ch := es[f.next]
+			if ch, ok := edge(c.Nodes[f.id], f.next); ok {
 				f.next++
 				switch color[ch] {
 				case white:
@@ -156,60 +158,80 @@ func SequentialDepth(c *netlist.Circuit) (int, error) {
 //
 // In the result, primary inputs are named TimedName(a, k) for each
 // (input a, delay k) pair the outputs depend on, ordered by (input
-// declaration order, delay). Output names are preserved.
+// declaration order, delay); the copy of gate g at delay k is named
+// "g@k". Output names are preserved.
 func Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
+	d, err := UnrollDAG(context.Background(), c)
+	if err != nil {
+		return nil, err
+	}
+	out, err := d.Circuit()
+	if err != nil {
+		return nil, fmt.Errorf("cbf: internal error, unrolled circuit invalid: %w", err)
+	}
+	return out, nil
+}
+
+// UnrollDAG is Unroll without the names: it records the unrolled
+// circuit as a netlist.DAG, in the order Unroll creates its nodes and
+// with the same inputs. A "cbf.unroll" span under the context's tracer
+// records the unrolled gate count and the size of the timed-input
+// window (the Figure 18 replication cost).
+func UnrollDAG(ctx context.Context, c *netlist.Circuit) (*netlist.DAG, error) {
+	_, sp := obs.Start1(ctx, "cbf.unroll", obs.S("circuit", c.Name))
+	mem := obs.SpanMem(sp)
+	d, err := unroll(c)
+	if sp != nil {
+		if err == nil {
+			sp.Gauge("cbf.gates", int64(d.NumGates()))
+			sp.Gauge("cbf.timed_inputs", int64(len(d.Inputs)))
+		}
+		mem.End()
+		sp.End()
+	}
+	return d, err
+}
+
+func unroll(c *netlist.Circuit) (*netlist.DAG, error) {
 	if !c.IsRegular() {
 		return nil, fmt.Errorf("cbf: circuit %q has load-enabled latches; use edbf.Unroll", c.Name)
 	}
 	if err := CheckAcyclic(c); err != nil {
 		return nil, err
 	}
-	out := netlist.New(c.Name + "_cbf")
-
-	type key struct {
-		id, d int
-	}
-	memo := make(map[key]int)
-	type timedPI struct {
-		inputPos, delay int
-	}
-	piNodes := make(map[timedPI]int)
-	inputPos := make(map[int]int) // node id -> position in c.Inputs
+	out := netlist.NewDAG(c.Name+"_cbf", '@', len(c.Nodes))
+	inputPos := make([]int, len(c.Nodes))
 	for i, id := range c.Inputs {
 		inputPos[id] = i
 	}
-
-	var rec func(id, d int) int
-	rec = func(id, d int) int {
-		k := key{id, d}
+	// memo maps (node id, delay), packed as id<<32|d, to its copy. An
+	// input's copy at delay d is the timed input a@d, ranked by
+	// (declaration position, delay).
+	memo := make(map[uint64]int32, len(c.Nodes))
+	var fins []int32 // fanin copies of the gates being emitted, stacked
+	var rec func(id, d int) int32
+	rec = func(id, d int) int32 {
+		k := uint64(id)<<32 | uint64(d)
 		if nid, ok := memo[k]; ok {
 			return nid
 		}
 		n := c.Nodes[id]
-		var nid int
+		var nid int32
 		switch n.Kind {
 		case netlist.KindInput:
-			tp := timedPI{inputPos[id], d}
-			pid, ok := piNodes[tp]
-			if !ok {
-				pid = out.AddInput(TimedName(n.Name, d))
-				piNodes[tp] = pid
-			}
-			nid = pid
+			nid = out.AddInput(n, int32(d), TimedName(n.Name, d), uint64(inputPos[id])<<32|uint64(d))
 		case netlist.KindLatch:
 			// s(t-d) = y(t-d-1): the latch dissolves into a delay.
 			nid = rec(n.Data(), d+1)
 		case netlist.KindGate:
-			fins := make([]int, len(n.Fanins))
+			base := len(fins)
+			fins = append(fins, make([]int32, len(n.Fanins))...)
 			for j, f := range n.Fanins {
-				fins[j] = rec(f, d)
+				v := rec(f, d) // may grow fins: index it after the call
+				fins[base+j] = v
 			}
-			name := unrolledName(n.Name, d)
-			if n.Op == netlist.OpTable {
-				nid = out.AddTable(name, fins, n.Cover)
-			} else {
-				nid = out.AddGate(name, n.Op, fins...)
-			}
+			nid = out.AddGate(n, int32(d), fins[base:])
+			fins = fins[:base]
 		}
 		memo[k] = nid
 		return nid
@@ -218,58 +240,8 @@ func Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 	for _, o := range c.Outputs {
 		out.AddOutput(o.Name, rec(o.Node, 0))
 	}
-
-	// Deterministic input order: by (declaration position, delay).
-	ordered := make([]int, 0, len(out.Inputs))
-	type entry struct {
-		tp  timedPI
-		nid int
-	}
-	entries := make([]entry, 0, len(piNodes))
-	for tp, nid := range piNodes {
-		entries = append(entries, entry{tp, nid})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].tp.inputPos != entries[j].tp.inputPos {
-			return entries[i].tp.inputPos < entries[j].tp.inputPos
-		}
-		return entries[i].tp.delay < entries[j].tp.delay
-	})
-	for _, e := range entries {
-		ordered = append(ordered, e.nid)
-	}
-	out.Inputs = ordered
-
-	if err := out.Check(); err != nil {
-		return nil, fmt.Errorf("cbf: internal error, unrolled circuit invalid: %w", err)
-	}
+	out.SortInputs()
 	return out, nil
-}
-
-// UnrollCtx is Unroll under the context's tracer: it wraps the
-// construction in a "cbf.unroll" span recording the unrolled gate count
-// and the size of the timed-input window (the Figure 18 replication
-// cost). The unrolling itself is pure and runs to completion.
-func UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circuit, error) {
-	_, sp := obs.Start1(ctx, "cbf.unroll", obs.S("circuit", c.Name))
-	mem := obs.SpanMem(sp)
-	out, err := Unroll(c)
-	if sp != nil {
-		if err == nil {
-			sp.Gauge("cbf.gates", int64(out.NumGates()))
-			sp.Gauge("cbf.timed_inputs", int64(len(out.Inputs)))
-		}
-		mem.End()
-		sp.End()
-	}
-	return out, err
-}
-
-func unrolledName(base string, d int) string {
-	if base == "" {
-		return ""
-	}
-	return base + "@" + strconv.Itoa(d)
 }
 
 // Depths returns, per primary input name, the set of delays at which the

@@ -30,7 +30,6 @@ package cec
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"seqver/internal/aig"
@@ -132,32 +131,27 @@ func Check(c1, c2 *netlist.Circuit, opt Options) (*Result, error) {
 // Result.UndecidedOutputs) rather than returning an error. Options.Budget
 // composes with the context — whichever deadline is tighter wins.
 func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Result, error) {
-	start := time.Now()
-	if len(c1.Latches) > 0 || len(c2.Latches) > 0 {
-		return nil, fmt.Errorf("cec: circuits must be combinational (unroll first)")
-	}
-	if err := sameOutputNames(c1, c2); err != nil {
+	m, err := jointAIG(ctx, c1, c2)
+	if err != nil {
 		return nil, err
 	}
+	return CheckMiterCtx(ctx, m, opt)
+}
+
+// CheckMiterCtx decides a joint miter built by BuildMiter, with
+// CheckCtx's budget and cancellation semantics. It only reads m, so a
+// miter that was hashed for a cache key is checked as it is.
+func CheckMiterCtx(ctx context.Context, m *Miter, opt Options) (*Result, error) {
+	start := time.Now()
 	engine := opt.Engine
 	if engine == "" {
 		engine = "hybrid"
 	}
 	ctx, sp := obs.Start(ctx, "cec", obs.S("engine", engine))
 	defer sp.End()
-	_, bsp := obs.Start(ctx, "aig.build")
-	piNames, a, pos1, pos2, err := jointAIG(c1, c2)
-	if bsp != nil && err == nil {
-		bsp.Gauge("aig.ands", int64(a.NumAnds()))
-		bsp.Gauge("aig.inputs", int64(len(piNames)))
-	}
-	bsp.End()
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{
-		Outputs: len(pos1),
-		Stats:   &Stats{Engine: engine, Outputs: len(pos1), Workers: 1},
+		Outputs: len(m.Names),
+		Stats:   &Stats{Engine: engine, Outputs: len(m.Names), Workers: 1},
 	}
 	defer func() {
 		res.Elapsed = time.Since(start)
@@ -171,13 +165,11 @@ func CheckCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options) (*Resul
 		defer cancel()
 	}
 
-	names := c1.OutputNames()
-	sort.Strings(names)
 	switch engine {
 	case "hybrid", "sat", "portfolio":
-		return checkSAT(ctx, a, piNames, pos1, pos2, names, opt, res, engine)
+		return checkSAT(ctx, m.AIG, m.AIG.PINames(), m.POs1, m.POs2, m.Names, opt, res, engine)
 	case "bdd":
-		return checkBDD(ctx, a, piNames, pos1, pos2, names, opt, res)
+		return checkBDD(ctx, m.AIG, m.AIG.PINames(), m.POs1, m.POs2, m.Names, opt, res)
 	default:
 		return nil, fmt.Errorf("cec: unknown engine %q", opt.Engine)
 	}
@@ -214,131 +206,6 @@ func lastLearned(per []OutputStats) int64 {
 		}
 	}
 	return 0
-}
-
-func sameOutputNames(c1, c2 *netlist.Circuit) error {
-	n1, n2 := c1.OutputNames(), c2.OutputNames()
-	s1 := append([]string(nil), n1...)
-	s2 := append([]string(nil), n2...)
-	sort.Strings(s1)
-	sort.Strings(s2)
-	if len(s1) != len(s2) {
-		return fmt.Errorf("cec: output counts differ: %d vs %d", len(s1), len(s2))
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			return fmt.Errorf("cec: output sets differ at %q vs %q", s1[i], s2[i])
-		}
-	}
-	return nil
-}
-
-// jointAIG builds both circuits into one AIG over the union of input
-// names and returns, per sorted output name, each side's edge.
-func jointAIG(c1, c2 *netlist.Circuit) ([]string, *aig.AIG, []aig.Lit, []aig.Lit, error) {
-	seen := map[string]int{}
-	var union []string
-	for _, c := range []*netlist.Circuit{c1, c2} {
-		for _, n := range c.InputNames() {
-			if _, ok := seen[n]; !ok {
-				seen[n] = len(union)
-				union = append(union, n)
-			}
-		}
-	}
-	a := aig.New(union)
-	build := func(c *netlist.Circuit) (map[string]aig.Lit, error) {
-		order, err := c.TopoOrder()
-		if err != nil {
-			return nil, err
-		}
-		lit := make([]aig.Lit, len(c.Nodes))
-		for _, id := range c.Inputs {
-			lit[id] = a.PI(seen[c.Nodes[id].Name])
-		}
-		for _, id := range order {
-			n := c.Nodes[id]
-			if n.Kind != netlist.KindGate {
-				continue
-			}
-			fins := make([]aig.Lit, len(n.Fanins))
-			for j, f := range n.Fanins {
-				fins[j] = lit[f]
-			}
-			lit[id] = gateToAIG(a, n, fins)
-		}
-		out := make(map[string]aig.Lit, len(c.Outputs))
-		for _, o := range c.Outputs {
-			out[o.Name] = lit[o.Node]
-		}
-		return out, nil
-	}
-	m1, err := build(c1)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	m2, err := build(c2)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	names := c1.OutputNames()
-	sort.Strings(names)
-	pos1 := make([]aig.Lit, len(names))
-	pos2 := make([]aig.Lit, len(names))
-	for i, n := range names {
-		pos1[i], pos2[i] = m1[n], m2[n]
-		a.AddPO("l$"+n, m1[n])
-		a.AddPO("r$"+n, m2[n])
-	}
-	return union, a, pos1, pos2, nil
-}
-
-func gateToAIG(a *aig.AIG, n *netlist.Node, in []aig.Lit) aig.Lit {
-	switch n.Op {
-	case netlist.OpConst0:
-		return aig.False
-	case netlist.OpConst1:
-		return aig.True
-	case netlist.OpBuf:
-		return in[0]
-	case netlist.OpNot:
-		return in[0].Not()
-	case netlist.OpAnd:
-		return a.AndN(in)
-	case netlist.OpNand:
-		return a.AndN(in).Not()
-	case netlist.OpOr:
-		return a.OrN(in)
-	case netlist.OpNor:
-		return a.OrN(in).Not()
-	case netlist.OpXor, netlist.OpXnor:
-		r := aig.False
-		for _, l := range in {
-			r = a.Xor(r, l)
-		}
-		if n.Op == netlist.OpXnor {
-			return r.Not()
-		}
-		return r
-	case netlist.OpMux:
-		return a.Mux(in[0], in[1], in[2])
-	case netlist.OpTable:
-		var cubes []aig.Lit
-		for _, cu := range n.Cover {
-			var lits []aig.Lit
-			for i := 0; i < len(cu); i++ {
-				switch cu[i] {
-				case '1':
-					lits = append(lits, in[i])
-				case '0':
-					lits = append(lits, in[i].Not())
-				}
-			}
-			cubes = append(cubes, a.AndN(lits))
-		}
-		return a.OrN(cubes)
-	}
-	panic("cec: unknown op " + n.Op.String())
 }
 
 func checkBDD(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []aig.Lit,

@@ -102,9 +102,11 @@ func checkSAT(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []ai
 		st.FraigNodesAfter = fst.NodesAfter
 		st.FraigMerges = fst.Merges
 		st.FraigProveCalls = fst.ProveCalls
-		// Recover per-output edges from the fraiged AIG's POs.
+		// Recover per-output edges from the fraiged AIG's POs, leaving
+		// the caller's slices to the caller's AIG.
 		a = af
-		for i := 0; i < len(pos1); i++ {
+		pos1, pos2 = make([]aig.Lit, len(pos1)), make([]aig.Lit, len(pos2))
+		for i := range pos1 {
 			pos1[i] = a.PO(2 * i)
 			pos2[i] = a.PO(2*i + 1)
 		}

@@ -1,7 +1,10 @@
 package cec
 
 import (
+	"context"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"seqver/internal/netlist"
@@ -161,5 +164,58 @@ func TestMiterHashMatchesCheck(t *testing.T) {
 	}
 	if res.Verdict != Inequivalent {
 		t.Fatalf("mutated pair: verdict %v, want inequivalent", res.Verdict)
+	}
+}
+
+// TestMiterSharedReadOnly pins that a built Miter is only read after
+// construction: its hash and concurrent checks over it (each with its
+// own worker pool) agree with each other and leave its output edges as
+// they were, so the daemon can hash a miter and then check the same
+// object. CI runs it under -race.
+func TestMiterSharedReadOnly(t *testing.T) {
+	// The xor chains are equal but share no structure, so fraig
+	// rewrites every output edge; the mutant adds an inequivalent pair.
+	pairs := [][2]*netlist.Circuit{
+		{xorChainMulti(3, false), xorChainMulti(3, true)},
+		{parse(t, goldenBLIF), parse(t, goldenMutated)},
+	}
+	for _, p := range pairs {
+		m, err := jointAIG(context.Background(), p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash := m.Hash()
+		pos1, pos2 := slices.Clone(m.POs1), slices.Clone(m.POs2)
+		want, err := CheckMiterCtx(context.Background(), m, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for _, engine := range []string{"hybrid", "sat", "portfolio", "hybrid"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := CheckMiterCtx(context.Background(), m, Options{Engine: engine, Workers: 2})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Verdict != want.Verdict || res.FailingOutput != want.FailingOutput {
+					t.Errorf("%s: verdict %v on %q, serial check %v on %q", engine,
+						res.Verdict, res.FailingOutput, want.Verdict, want.FailingOutput)
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if h := m.Hash(); h != hash {
+				t.Errorf("hash moved during checks: %s, was %s", h, hash)
+			}
+		}()
+		wg.Wait()
+		if !slices.Equal(m.POs1, pos1) || !slices.Equal(m.POs2, pos2) || m.Hash() != hash {
+			t.Error("checking the miter changed its output edges or hash")
+		}
 	}
 }

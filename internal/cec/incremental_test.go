@@ -1,6 +1,7 @@
 package cec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -47,10 +48,11 @@ func xorChainMulti(k int, reverse bool) *netlist.Circuit {
 // fraig sweep or worker pool does can leak into the reference verdict.
 func oracleVerdict(t *testing.T, c1, c2 *netlist.Circuit) Verdict {
 	t.Helper()
-	_, a, pos1, pos2, err := jointAIG(c1, c2)
+	m, err := jointAIG(context.Background(), c1, c2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, pos1, pos2 := m.AIG, m.POs1, m.POs2
 	for i := range pos1 {
 		s := sat.New(0)
 		cnf := &aig.CNFMap{VarOf: map[uint32]int{}}

@@ -168,13 +168,14 @@ func VerifyAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, opt Options)
 }
 
 // Unrolled is the combinational reduction of a verification pair: the
-// CBF or EDBF unrollings of both circuits, ready for the equivalence
-// checker. It is the seam between "what problem is this" and "decide
-// it" — the verification daemon hashes U1/U2 (cec.MiterHash) to key its
-// result cache before spending any solver time.
+// joint miter of the CBF or EDBF unrollings of both circuits, ready for
+// the equivalence checker. It is the seam between "what problem is
+// this" and "decide it" — the verification daemon hashes the miter
+// (cec.Miter.Hash) to key its result cache before spending any solver
+// time, and checks the same miter on a miss.
 type Unrolled struct {
-	// U1, U2 are the combinational unrollings, name-aligned for cec.
-	U1, U2 *netlist.Circuit
+	// Miter joins the two unrollings into one AIG, name-aligned.
+	Miter *cec.Miter
 	// Method is "cbf" (regular latches, complete) or "edbf"
 	// (load-enabled latches, conservative).
 	Method string
@@ -196,23 +197,25 @@ func (u *Unrolled) report() *Report {
 
 // CheckCtx discharges the reduction with the combinational checker.
 func (u *Unrolled) CheckCtx(ctx context.Context, opt cec.Options) (*cec.Result, error) {
-	return cec.CheckCtx(ctx, u.U1, u.U2, opt)
+	return cec.CheckMiterCtx(ctx, u.Miter, opt)
 }
 
 // UnrollAcyclicCtx reduces an acyclic pair to combinational form
 // without deciding it: the CBF path for regular-latch circuits
 // (Theorem 5.1, exact) or the EDBF path when load-enabled latches are
 // present (Theorem 5.2, conservative). Both circuits must already
-// satisfy the feedback constraint.
+// satisfy the feedback constraint. The unrollers emit DAGs that go
+// straight into the joint miter AIG; no unrolled netlist is built.
 func UnrollAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, rewrite bool) (*Unrolled, error) {
 	u := &Unrolled{}
+	var d1, d2 *netlist.DAG
 	var err error
 	if c1.IsRegular() && c2.IsRegular() {
 		u.Method = "cbf"
-		if u.U1, err = cbf.UnrollCtx(ctx, c1); err != nil {
+		if d1, err = cbf.UnrollDAG(ctx, c1); err != nil {
 			return nil, err
 		}
-		if u.U2, err = cbf.UnrollCtx(ctx, c2); err != nil {
+		if d2, err = cbf.UnrollDAG(ctx, c2); err != nil {
 			return nil, err
 		}
 		if u.Depth, err = cbf.SequentialDepth(c1); err != nil {
@@ -223,18 +226,21 @@ func UnrollAcyclicCtx(ctx context.Context, c1, c2 *netlist.Circuit, rewrite bool
 		u.Conservative = true
 		cx := edbf.NewCtx()
 		cx.Rewrite = rewrite
-		if u.U1, err = cx.UnrollCtx(ctx, c1); err != nil {
+		if d1, err = cx.UnrollDAG(ctx, c1); err != nil {
 			return nil, err
 		}
-		if u.U2, err = cx.UnrollCtx(ctx, c2); err != nil {
+		if d2, err = cx.UnrollDAG(ctx, c2); err != nil {
 			return nil, err
 		}
 	}
+	u.UnrolledGates = [2]int{d1.NumGates(), d2.NumGates()}
 	if sp := obs.CurrentSpan(ctx); sp != nil {
 		sp.Event("unrolled", obs.S("method", u.Method),
-			obs.I("gates1", int64(u.U1.NumGates())), obs.I("gates2", int64(u.U2.NumGates())))
+			obs.I("gates1", int64(u.UnrolledGates[0])), obs.I("gates2", int64(u.UnrolledGates[1])))
 	}
-	u.UnrolledGates = [2]int{u.U1.NumGates(), u.U2.NumGates()}
+	if u.Miter, err = cec.BuildMiter(ctx, d1, d2); err != nil {
+		return nil, err
+	}
 	return u, nil
 }
 

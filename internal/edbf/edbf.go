@@ -23,13 +23,16 @@
 package edbf
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
 	"seqver/internal/bdd"
+	"seqver/internal/cbf"
 	"seqver/internal/netlist"
 	"seqver/internal/obs"
 )
@@ -164,7 +167,7 @@ func (cx *Ctx) EventString(id int) string {
 
 // canon sorts elements by delta and applies the optional Eq. 5 rewrite.
 func (cx *Ctx) canon(e Event) Event {
-	sort.Slice(e.Elems, func(i, j int) bool { return e.Elems[i].Delta < e.Elems[j].Delta })
+	slices.SortFunc(e.Elems, func(x, y Element) int { return cmp.Compare(x.Delta, y.Delta) })
 	if !cx.Rewrite {
 		return e
 	}
@@ -283,74 +286,81 @@ func (cx *Ctx) gateBDD(n *netlist.Node, in []bdd.Ref) bdd.Ref {
 
 // Unroll computes the EDBF of every primary output of c (the Figure 8
 // recursion) and materializes it as a combinational circuit whose primary
-// inputs are (input, event) variables named VarName(a, ev). The circuit
-// must be acyclic; both regular and load-enabled latches are supported
-// (regular latches degrade to pure delays, so on a regular-latch circuit
-// the EDBF coincides with the CBF up to variable naming).
+// inputs are (input, event) variables named VarName(a, ev), and whose
+// copy of gate g under event ev is named "g#ev". The circuit must be
+// acyclic; both regular and load-enabled latches are supported (regular
+// latches degrade to pure delays, so on a regular-latch circuit the EDBF
+// coincides with the CBF up to variable naming).
 func (cx *Ctx) Unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
-	return cx.unroll(c)
+	return cx.UnrollCtx(context.Background(), c)
 }
 
-// UnrollCtx is Unroll under the context's tracer: an "edbf.unroll" span
-// records the unrolled gate count and the cumulative number of distinct
-// events interned in the shared context (the Section 5.2 blow-up
-// metric).
+// UnrollCtx is Unroll under the context's tracer (see UnrollDAG).
 func (cx *Ctx) UnrollCtx(ctx context.Context, c *netlist.Circuit) (*netlist.Circuit, error) {
+	d, err := cx.UnrollDAG(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	out, err := d.Circuit()
+	if err != nil {
+		return nil, fmt.Errorf("edbf: internal error, unrolled circuit invalid: %w", err)
+	}
+	return out, nil
+}
+
+// UnrollDAG is Unroll without the names: it records the unrolled
+// circuit as a netlist.DAG, in the order Unroll creates its nodes and
+// with the same inputs. An "edbf.unroll" span under the context's
+// tracer records the unrolled gate count and the cumulative number of
+// distinct events interned in the shared context (the Section 5.2
+// blow-up metric).
+func (cx *Ctx) UnrollDAG(ctx context.Context, c *netlist.Circuit) (*netlist.DAG, error) {
 	_, sp := obs.Start1(ctx, "edbf.unroll", obs.S("circuit", c.Name))
 	mem := obs.SpanMem(sp)
-	out, err := cx.unroll(c)
+	d, err := cx.unroll(c)
 	if sp != nil {
 		if err == nil {
-			sp.Gauge("edbf.gates", int64(out.NumGates()))
+			sp.Gauge("edbf.gates", int64(d.NumGates()))
 			sp.Gauge("edbf.events", int64(cx.NumEvents()))
 		}
 		mem.End()
 		sp.End()
 	}
-	return out, err
+	return d, err
 }
 
-func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
-	if err := checkAcyclic(c); err != nil {
+func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.DAG, error) {
+	if err := cbf.CheckAcyclic(c); err != nil {
 		return nil, err
 	}
-	out := netlist.New(c.Name + "_edbf")
+	out := netlist.NewDAG(c.Name+"_edbf", '#', len(c.Nodes))
 	if cx.steps == nil || cx.stepsRewrite != cx.Rewrite {
 		cx.steps = make(map[[2]int]int)
 		cx.stepsRewrite = cx.Rewrite
 	}
 
 	predMemo := make(map[int]bdd.Ref)
-	type key struct {
-		id, ev int
-	}
-	memo := make(map[key]int)
-	type evPI struct {
-		inputPos, ev int
-	}
-	piNodes := make(map[evPI]int)
-	inputPos := make(map[int]int)
+	inputPos := make([]int, len(c.Nodes))
 	for i, id := range c.Inputs {
 		inputPos[id] = i
 	}
-
-	var rec func(id int, ev int) (int, error)
-	rec = func(id int, ev int) (int, error) {
-		k := key{id, ev}
+	// memo maps (node id, event id), packed as id<<32|ev, to its copy.
+	// An input's copy under event ev is the variable a#ev, ranked by
+	// (declaration position, event id); synthetic "undef" inputs rank
+	// last and keep their creation order.
+	memo := make(map[uint64]int32, len(c.Nodes))
+	var fins []int32 // fanin copies of the gates being emitted, stacked
+	var rec func(id int, ev int) (int32, error)
+	rec = func(id int, ev int) (int32, error) {
+		k := uint64(id)<<32 | uint64(ev)
 		if nid, ok := memo[k]; ok {
 			return nid, nil
 		}
 		n := c.Nodes[id]
-		var nid int
+		var nid int32
 		switch n.Kind {
 		case netlist.KindInput:
-			tp := evPI{inputPos[id], ev}
-			pid, ok := piNodes[tp]
-			if !ok {
-				pid = out.AddInput(VarName(n.Name, ev))
-				piNodes[tp] = pid
-			}
-			nid = pid
+			nid = out.AddInput(n, int32(ev), VarName(n.Name, ev), uint64(inputPos[id])<<32|uint64(ev))
 		case netlist.KindLatch:
 			predID := -1
 			if n.Enable != netlist.NoEnable {
@@ -364,7 +374,7 @@ func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 				case bdd.False:
 					// The latch never loads: its value is the power-up
 					// nondeterminate, a fresh free variable.
-					nid = out.AddInput(fmt.Sprintf("undef:%s#%d", nodeName(c, id), ev))
+					nid = out.AddInput(n, int32(ev), fmt.Sprintf("undef:%s#%d", nodeName(c, id), ev), math.MaxUint64)
 					memo[k] = nid
 					return nid, nil
 				default:
@@ -377,22 +387,17 @@ func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 				return 0, err
 			}
 		case netlist.KindGate:
-			fins := make([]int, len(n.Fanins))
+			base := len(fins)
+			fins = append(fins, make([]int32, len(n.Fanins))...)
 			for j, f := range n.Fanins {
-				var err error
-				if fins[j], err = rec(f, ev); err != nil {
+				v, err := rec(f, ev) // may grow fins: index it after the call
+				if err != nil {
 					return 0, err
 				}
+				fins[base+j] = v
 			}
-			name := ""
-			if n.Name != "" {
-				name = n.Name + "#" + strconv.Itoa(ev)
-			}
-			if n.Op == netlist.OpTable {
-				nid = out.AddTable(name, fins, n.Cover)
-			} else {
-				nid = out.AddGate(name, n.Op, fins...)
-			}
+			nid = out.AddGate(n, int32(ev), fins[base:])
+			fins = fins[:base]
 		}
 		memo[k] = nid
 		return nid, nil
@@ -406,42 +411,7 @@ func (cx *Ctx) unroll(c *netlist.Circuit) (*netlist.Circuit, error) {
 		}
 		out.AddOutput(o.Name, nid)
 	}
-
-	// Deterministic input order: (input position, event id); synthetic
-	// "undef" inputs keep their creation order at the end.
-	type entry struct {
-		tp  evPI
-		nid int
-	}
-	var entries []entry
-	for tp, nid := range piNodes {
-		entries = append(entries, entry{tp, nid})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].tp.inputPos != entries[j].tp.inputPos {
-			return entries[i].tp.inputPos < entries[j].tp.inputPos
-		}
-		return entries[i].tp.ev < entries[j].tp.ev
-	})
-	ordered := make([]int, 0, len(out.Inputs))
-	for _, e := range entries {
-		ordered = append(ordered, e.nid)
-	}
-	// Append non-(input,event) PIs (undef variables) in original order.
-	inOrdered := make(map[int]bool, len(ordered))
-	for _, id := range ordered {
-		inOrdered[id] = true
-	}
-	for _, id := range out.Inputs {
-		if !inOrdered[id] {
-			ordered = append(ordered, id)
-		}
-	}
-	out.Inputs = ordered
-
-	if err := out.Check(); err != nil {
-		return nil, fmt.Errorf("edbf: internal error, unrolled circuit invalid: %w", err)
-	}
+	out.SortInputs()
 	return out, nil
 }
 
@@ -450,44 +420,4 @@ func nodeName(c *netlist.Circuit, id int) string {
 		return n.Name
 	}
 	return "n" + strconv.Itoa(id)
-}
-
-// checkAcyclic mirrors cbf.CheckAcyclic without importing it (identical
-// semantics: no feedback through latch data or enable edges).
-func checkAcyclic(c *netlist.Circuit) error {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]uint8, len(c.Nodes))
-	var rec func(id int) error
-	rec = func(id int) error {
-		switch color[id] {
-		case gray:
-			return fmt.Errorf("edbf: feedback path through %q; expose or decompose feedback latches first", nodeName(c, id))
-		case black:
-			return nil
-		}
-		color[id] = gray
-		n := c.Nodes[id]
-		for _, f := range n.Fanins {
-			if err := rec(f); err != nil {
-				return err
-			}
-		}
-		if n.Kind == netlist.KindLatch && n.Enable != netlist.NoEnable {
-			if err := rec(n.Enable); err != nil {
-				return err
-			}
-		}
-		color[id] = black
-		return nil
-	}
-	for id := range c.Nodes {
-		if err := rec(id); err != nil {
-			return err
-		}
-	}
-	return nil
 }

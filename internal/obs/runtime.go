@@ -9,9 +9,10 @@ import (
 // runtime's allocation and GC counters when a coarse phase span opens
 // and emits the deltas as gauges on that span when the phase ends, so a
 // trace answers "which phase allocated those bytes" without a heap
-// profiler attached. The ROADMAP's struct-of-arrays refactor (item 5)
-// gates on exactly these numbers: per-phase alloc volume before and
-// after, from the same harness.
+// profiler attached. Allocation work is judged on exactly these
+// numbers: per-phase alloc volume before and after, from the same
+// harness (the unroll spans' drop when the unrollers stopped building
+// netlists is one such before/after; EXPERIMENTS.md records it).
 //
 // The sampling rides runtime/metrics, not runtime.ReadMemStats — no
 // stop-the-world, safe on every coarse phase boundary. Only the coarse

@@ -15,7 +15,7 @@ import (
 )
 
 // Cache is the content-addressed result cache: the canonical structural
-// hash of a prepared miter AIG (cec.MiterHash) keys the decided verdict
+// hash of a prepared miter AIG (cec.Miter.Hash) keys the decided verdict
 // plus its counterexample witness and summary stats. Entries live in
 // memory under an LRU byte budget and are written through to an
 // optional spill directory, so a restarted daemon answers repeat

@@ -17,7 +17,7 @@ import (
 // file (<journal-dir>/journal.jsonl) recording every job lifecycle
 // transition, so a crashed or SIGKILLed daemon restarts knowing which
 // jobs were queued, in flight, or already decided. The canonical miter
-// hash (cec.MiterHash) rides on a "keyed" record as the idempotency
+// hash (cec.Miter.Hash) rides on a "keyed" record as the idempotency
 // key: replay can satisfy an interrupted job straight from the result
 // cache without re-running it, and re-running a decided miter can never
 // flip its verdict because decided verdicts are pure functions of the

@@ -165,6 +165,44 @@ func TestSubmitVerdictAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestCacheMissBuildsMiterOnce pins that a job builds its joint miter
+// AIG once: the trace of a cache miss holds exactly one "aig.build"
+// span, opened outside the solver's "cec" span, so the key the cache
+// was consulted with and the problem the solver decided are one AIG.
+func TestCacheMissBuildsMiterOnce(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	c := &Client{Base: ts.URL}
+	v := submitWait(t, c, &JobRequest{Golden: SideSpec{BLIF: goldenSeq}, Revised: SideSpec{BLIF: revisedSeq}})
+	if v.Status != StatusDone || v.Result.Cached {
+		t.Fatalf("job: %+v", v)
+	}
+	trace, err := c.Trace(context.Background(), v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.DecodeJSONL(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[uint64]string{}
+	builds := 0
+	for _, ev := range events {
+		if ev.Type != "begin" {
+			continue
+		}
+		names[ev.Span] = ev.Name
+		if ev.Name == "aig.build" {
+			builds++
+			if names[ev.Parent] == "cec" {
+				t.Error("aig.build runs inside the cec span")
+			}
+		}
+	}
+	if builds != 1 {
+		t.Errorf("cache-miss trace has %d aig.build spans, want 1", builds)
+	}
+}
+
 func firstMatching(s, substr string) string {
 	var out []string
 	for _, line := range strings.Split(s, "\n") {
