@@ -105,22 +105,18 @@ func prepareHJ(b *testing.B, sp bench.Spec) (*netlist.Circuit, *netlist.Circuit)
 
 // --- Parallel CEC backend: worker sweep -------------------------------
 
-// BenchmarkCheckParallel sweeps the miter worker-pool size on a
-// multi-output miter pair. The per-output SAT proofs are independent by
-// construction (the CBF unrolling replicates cones per output), so this
-// measures how far the embarrassingly parallel stage actually scales on
-// the host. cmd/cecbench runs the same sweep standalone and records the
-// series (ns/op, speedup vs 1 worker) in BENCH_cec.json.
+// BenchmarkCheckParallel sweeps the engine's worker count on a
+// multi-output miter pair: the sharded fraig signature pass and the
+// pool that proves the miters surviving the sweep. cmd/cecbench runs
+// the same sweep standalone and records the series (ns/op, speedup vs
+// 1 worker) in BENCH_cec.json.
 func BenchmarkCheckParallel(b *testing.B) {
 	sp, _ := findSpec("s3384")
 	h, j := prepareHJ(b, sp)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				// sat engine: keeps one real SAT proof per output (the
-				// hybrid engine's fraig collapses equivalent pairs
-				// structurally, leaving the pool idle).
-				res, err := cec.Check(h, j, cec.Options{Engine: "sat", Workers: workers})
+				res, err := cec.Check(h, j, cec.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -167,7 +163,7 @@ func BenchmarkFig18Unroll(b *testing.B) {
 	}
 }
 
-// --- Ablation: CEC engines (hybrid vs sat-only vs bdd vs portfolio) ---
+// --- Ablation: CEC engines (hybrid vs bdd vs portfolio) ---------------
 
 // BenchmarkCECEngine times every engine on the s1269 and s3384 H/J
 // pairs; EXPERIMENTS.md "CEC engine audit" records which engine wins.
@@ -175,7 +171,7 @@ func BenchmarkCECEngine(b *testing.B) {
 	for _, circuit := range []string{"s1269", "s3384"} {
 		sp, _ := findSpec(circuit)
 		h, j := prepareHJ(b, sp)
-		for _, engine := range []string{"hybrid", "sat", "bdd", "portfolio"} {
+		for _, engine := range []string{"hybrid", "bdd", "portfolio"} {
 			b.Run(circuit+"/"+engine, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res, err := cec.Check(h, j, cec.Options{Engine: engine})

@@ -26,7 +26,7 @@ func writeReport(t *testing.T, dir, name string, rep *benchfmt.Report) string {
 
 func testReport() *benchfmt.Report {
 	return &benchfmt.Report{
-		Circuit: "s3384", Engine: "sat", GOMAXPROCS: 1, NumCPU: 1,
+		Circuit: "s3384", Engine: "hybrid", GOMAXPROCS: 1, NumCPU: 1,
 		Results: []benchfmt.WorkerResult{
 			{Workers: 1, Iters: 5, MeanNSOp: 1_100_000, MinNSOp: 1_000_000, GOMAXPROCS: 1, NumCPU: 1},
 		},

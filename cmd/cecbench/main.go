@@ -62,11 +62,7 @@ func main() {
 	iters := flag.Int("iters", 3, "check iterations per worker count")
 	count := flag.Int("count", 1, "repeats of the whole measurement per row; spread is recorded across all repeats")
 	out := flag.String("out", "BENCH_cec.json", "output JSON path (- for stdout)")
-	// Default to the sat engine: on an equivalent pair the hybrid
-	// engine's fraig stage collapses most miters structurally, leaving
-	// the worker pool idle — sat-only keeps one real SAT proof per
-	// output, which is the parallel hot path this harness tracks.
-	engine := flag.String("engine", "sat", "combinational engine: hybrid, sat, bdd, or portfolio")
+	engine := flag.String("engine", "hybrid", "combinational engine: hybrid, bdd, or portfolio")
 	budgets := flag.String("budgets", "", "comma-separated wall-clock budgets to sweep (e.g. 5ms,20ms,80ms,0; 0: unbudgeted; empty: skip)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to FILE")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to FILE")

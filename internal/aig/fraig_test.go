@@ -158,56 +158,3 @@ func TestBalanceRespectsSharedNodes(t *testing.T) {
 		t.Fatalf("balance duplicated shared logic: %d -> %d", a.NumAnds(), b.NumAnds())
 	}
 }
-
-func TestFraigRecordClassesSound(t *testing.T) {
-	// Every recorded pair must be a true equivalence over the *input*
-	// AIG — checked exhaustively by 64-way simulation.
-	rng := rand.New(rand.NewSource(59))
-	sawPairs := false
-	for trial := 0; trial < 20; trial++ {
-		nv := 4 + rng.Intn(4)
-		a := randomAIG(rng, nv, 60)
-		_, st := FraigEx(a, FraigOptions{Seed: int64(trial), RecordClasses: true})
-		if len(st.Classes) == 0 {
-			continue
-		}
-		sawPairs = true
-		for round := 0; round < 8; round++ {
-			w := a.SimWords(a.RandomWords(rng))
-			for _, p := range st.Classes {
-				if LitWord(w, p.A) != LitWord(w, p.B) {
-					t.Fatalf("trial %d: recorded class %v ≡ %v is false", trial, p.A, p.B)
-				}
-			}
-		}
-		for _, p := range st.Classes {
-			if p.B.Node() >= p.A.Node() {
-				t.Fatalf("trial %d: pair %v/%v not ordered later≡earlier", trial, p.A, p.B)
-			}
-		}
-	}
-	if !sawPairs {
-		t.Fatal("no trial produced recorded classes; test is vacuous")
-	}
-}
-
-func TestFraigRecordClassesIncludesKnownMerge(t *testing.T) {
-	// Two structurally different xors must surface as a recorded pair,
-	// and the xor/xnor contradiction as a constant class.
-	a := New([]string{"a", "b"})
-	x, y := a.PI(0), a.PI(1)
-	x1 := a.Or(a.And(x, y.Not()), a.And(x.Not(), y))
-	x2 := a.And(a.Or(x, y), a.And(x, y).Not())
-	a.AddPO("o", a.And(x1, x2))
-	_, st := FraigEx(a, FraigOptions{RecordClasses: true})
-	found := false
-	for _, p := range st.Classes {
-		if (p.A.Node() == x2.Node() && p.B.Node() == x1.Node()) ||
-			(p.A.Node() == x1.Node() && p.B.Node() == x2.Node()) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("xor pair not recorded; classes=%v (x1=%v x2=%v)", st.Classes, x1, x2)
-	}
-}

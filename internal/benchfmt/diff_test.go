@@ -8,7 +8,7 @@ import (
 func sampleReport() *Report {
 	return &Report{
 		Circuit:    "s3384",
-		Engine:     "sat",
+		Engine:     "hybrid",
 		Outputs:    26,
 		GOMAXPROCS: 1,
 		NumCPU:     1,
@@ -286,7 +286,7 @@ func TestCompareAllocSkipsLegacyRows(t *testing.T) {
 }
 
 func TestReadRejectsUnknownFields(t *testing.T) {
-	_, err := Read(strings.NewReader(`{"circuit":"x","engine":"sat","bogus":1}`))
+	_, err := Read(strings.NewReader(`{"circuit":"x","engine":"hybrid","bogus":1}`))
 	if err == nil {
 		t.Fatal("unknown field accepted; schema drift would compare zeros")
 	}

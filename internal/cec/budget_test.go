@@ -72,7 +72,7 @@ func TestBudgetDeadline(t *testing.T) {
 	c1 := multiplier(8, false)
 	c2 := multiplier(8, true)
 	const budget = 20 * time.Millisecond
-	for _, engine := range []string{"sat", "hybrid", "portfolio", "bdd"} {
+	for _, engine := range []string{"hybrid", "portfolio", "bdd"} {
 		start := time.Now()
 		res, err := Check(c1, c2, Options{Engine: engine, Budget: budget, Workers: 1})
 		elapsed := time.Since(start)
@@ -102,7 +102,7 @@ func TestBudgetDeadline(t *testing.T) {
 func TestBudgetNeverFlipsVerdict(t *testing.T) {
 	c1 := multiplier(3, false)
 	c2 := multiplier(3, true)
-	res, err := Check(c1, c2, Options{Engine: "sat"})
+	res, err := Check(c1, c2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestBudgetNeverFlipsVerdict(t *testing.T) {
 		t.Fatalf("unbudgeted verdict %v, want equivalent", res.Verdict)
 	}
 	for _, budget := range []time.Duration{time.Microsecond, 50 * time.Microsecond, 2 * time.Millisecond} {
-		res, err := Check(c1, c2, Options{Engine: "sat", Budget: budget})
+		res, err := Check(c1, c2, Options{Budget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,24 +209,24 @@ func TestPortfolioStatsRecorded(t *testing.T) {
 // degrades that output to undecided with the stack captured in
 // Stats.Panics, while every other output is still decided normally.
 func TestPanicRecovery(t *testing.T) {
-	const poisoned = "p3"
+	const poisoned = "o3"
 	testMiterHook = func(output string) {
 		if output == poisoned {
 			panic("injected miter crash")
 		}
 	}
 	defer func() { testMiterHook = nil }()
-	// The sat engine skips fraig, so every output reaches proveOne and
-	// the poisoned one is guaranteed to crash (fraig could otherwise
-	// discharge it structurally before the hook ever fires).
-	c1 := multiplier(3, false)
-	c2 := multiplier(3, true)
-	for _, engine := range []string{"sat"} {
+	// The xor-chain miters survive fraig, so every output reaches
+	// proveOne and the poisoned one is guaranteed to crash (fraig could
+	// otherwise discharge it structurally before the hook ever fires).
+	c1, c2 := xorPairs(4)
+	for _, engine := range []string{"hybrid", "portfolio"} {
 		for _, workers := range []int{1, 2} {
 			res, err := Check(c1, c2, Options{Engine: engine, Workers: workers, SimRounds: -1})
 			if err != nil {
 				t.Fatalf("engine %s workers %d: %v", engine, workers, err)
 			}
+			assertMitersReachPool(t, res)
 			if res.Verdict != Undecided {
 				t.Fatalf("engine %s workers %d: verdict %v, want undecided", engine, workers, res.Verdict)
 			}

@@ -63,23 +63,15 @@ func (v Verdict) String() string {
 // Options tunes the engines.
 type Options struct {
 	// Engine selects the decision procedure: "hybrid" (default:
-	// simulation + fraig + SAT), "sat" (no fraig sweeping), "bdd", or
-	// "portfolio" (simulation + fraig, then SAT raced against BDD per
-	// miter — the first definitive answer wins and cancels the loser).
+	// simulation + fraig + SAT), "bdd", or "portfolio" (simulation +
+	// fraig, then SAT raced against BDD per miter — the first definitive
+	// answer wins and cancels the loser).
 	Engine string
 	// MaxConflicts bounds each SAT proof (0: generous default).
 	MaxConflicts int64
-	// ClassTriggerConflicts is the conflict budget an incremental SAT
-	// probe may burn before the engine invests in the one-time fraig
-	// class analysis (an analysis-only SAT sweep whose proven internal
-	// equivalences are fed to every worker as equality clauses). Easy
-	// miter queues never trip it and skip the sweep entirely; the first
-	// probe on a hard queue pays it once and the remaining miters reuse
-	// the classes. 0 selects the default (5000); negative runs the
-	// sweep eagerly before the first probe. Only the sat engine
-	// consults it.
-	ClassTriggerConflicts int
-	// BDDLimit bounds the BDD engine's node count (0: default 2M).
+	// BDDLimit bounds the node count of every BDD build: the bdd
+	// engine's and each portfolio BDD arm's. Zero or negative selects
+	// the default, 2M nodes.
 	BDDLimit int
 	Seed     int64
 	// Budget, when positive, bounds the whole Check call by wall clock.
@@ -166,7 +158,7 @@ func CheckMiterCtx(ctx context.Context, m *Miter, opt Options) (*Result, error) 
 	}
 
 	switch engine {
-	case "hybrid", "sat", "portfolio":
+	case "hybrid", "portfolio":
 		return checkSAT(ctx, m.AIG, m.AIG.PINames(), m.POs1, m.POs2, m.Names, opt, res, engine)
 	case "bdd":
 		return checkBDD(ctx, m.AIG, m.AIG.PINames(), m.POs1, m.POs2, m.Names, opt, res)
@@ -210,14 +202,10 @@ func lastLearned(per []OutputStats) int64 {
 
 func checkBDD(ctx context.Context, a *aig.AIG, piNames []string, pos1, pos2 []aig.Lit,
 	names []string, opt Options, res *Result) (*Result, error) {
-	limit := opt.BDDLimit
-	if limit == 0 {
-		limit = 2_000_000
-	}
 	_, bsp := obs.Start(ctx, "bdd.build")
 	defer bsp.End()
 	m := bdd.New(len(piNames))
-	m.MaxNodes = limit
+	m.MaxNodes = opt.bddLimit()
 	m.SetContext(ctx)
 	if bsp != nil {
 		// Node-count samples ride the manager's existing poll boundary

@@ -2,6 +2,7 @@ package cec
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"seqver/internal/netlist"
@@ -34,7 +35,7 @@ func xorPair(structural bool) (*netlist.Circuit, *netlist.Circuit) {
 }
 
 func TestEquivalentAcrossEngines(t *testing.T) {
-	for _, engine := range []string{"hybrid", "sat", "bdd"} {
+	for _, engine := range []string{"hybrid", "bdd", "portfolio"} {
 		c1, c2 := xorPair(true)
 		res, err := Check(c1, c2, Options{Engine: engine})
 		if err != nil {
@@ -47,7 +48,7 @@ func TestEquivalentAcrossEngines(t *testing.T) {
 }
 
 func TestInequivalentWithCounterexample(t *testing.T) {
-	for _, engine := range []string{"hybrid", "sat", "bdd"} {
+	for _, engine := range []string{"hybrid", "bdd", "portfolio"} {
 		c1, c2 := xorPair(false) // xor vs and
 		res, err := Check(c1, c2, Options{Engine: engine})
 		if err != nil {
@@ -266,9 +267,9 @@ func hardCircuit() *netlist.Circuit {
 }
 
 func TestUndecidedUnderTinyBudget(t *testing.T) {
-	// Hard miter (interleaved xor-of-ands) with starved SAT budget and
-	// no fraig: the hybrid stages can't finish, so the verdict must be
-	// Undecided — never a wrong answer.
+	// Hard miter (interleaved xor-of-ands) with a starved SAT budget:
+	// whatever the hybrid stages leave undecided must stay Undecided —
+	// never a wrong answer.
 	c1 := hardCircuit()
 	c2 := hardCircuit()
 	// Perturb c2 structurally (same function): rebuild via synthesis.
@@ -276,7 +277,7 @@ func TestUndecidedUnderTinyBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Check(c1, c2b, Options{Engine: "sat", MaxConflicts: 1})
+	res, err := Check(c1, c2b, Options{MaxConflicts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,10 @@ func TestBDDEngineCounterexampleValid(t *testing.T) {
 
 func TestUnknownEngineRejected(t *testing.T) {
 	c1, c2 := xorPair(true)
-	if _, err := Check(c1, c2, Options{Engine: "quantum"}); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, engine := range []string{"quantum", "sat"} {
+		_, err := Check(c1, c2, Options{Engine: engine})
+		if err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Fatalf("engine %q: err %v, want the unknown-engine error", engine, err)
+		}
 	}
 }

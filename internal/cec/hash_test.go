@@ -173,10 +173,11 @@ func TestMiterHashMatchesCheck(t *testing.T) {
 // they were, so the daemon can hash a miter and then check the same
 // object. CI runs it under -race.
 func TestMiterSharedReadOnly(t *testing.T) {
-	// The xor chains are equal but share no structure, so fraig
-	// rewrites every output edge; the mutant adds an inequivalent pair.
+	// The xor chains are equal but share no structure, so every miter
+	// reaches the worker pool; the mutant adds an inequivalent pair.
+	xc1, xc2 := xorPairs(3)
 	pairs := [][2]*netlist.Circuit{
-		{xorChainMulti(3, false), xorChainMulti(3, true)},
+		{xc1, xc2},
 		{parse(t, goldenBLIF), parse(t, goldenMutated)},
 	}
 	for _, p := range pairs {
@@ -191,7 +192,7 @@ func TestMiterSharedReadOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
-		for _, engine := range []string{"hybrid", "sat", "portfolio", "hybrid"} {
+		for _, engine := range []string{"hybrid", "portfolio", "hybrid"} {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -2,6 +2,7 @@ package cec
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -13,32 +14,61 @@ import (
 )
 
 // xorChainMulti builds k structurally independent xor-chain outputs
-// (o0..ok-1), each over its own 16 inputs, associated left-to-right or
-// right-to-left. Two opposite-association copies are function-equal
-// but share no AIG structure, so every output miter needs real search.
-func xorChainMulti(k int, reverse bool) *netlist.Circuit {
+// (o0..ok-1), each from addXorChain over its own inputs.
+func xorChainMulti(k int, perm int64) *netlist.Circuit {
 	c := netlist.New("xcm")
-	const n = 16
 	for o := 0; o < k; o++ {
-		ins := make([]int, n)
-		for i := range ins {
-			ins[i] = c.AddInput(string(rune('a'+o)) + "_" + string(rune('0'+i/10)) + string(rune('0'+i%10)))
-		}
-		acc := ins[0]
-		rest := ins[1:]
-		if reverse {
-			acc = ins[n-1]
-			rest = make([]int, 0, n-1)
-			for i := n - 2; i >= 0; i-- {
-				rest = append(rest, ins[i])
-			}
-		}
-		for _, x := range rest {
-			acc = c.AddGate("", netlist.OpXor, acc, x)
-		}
-		c.AddOutput("o"+string(rune('0'+o)), acc)
+		c.AddOutput(fmt.Sprintf("o%d", o), addXorChain(c, string(rune('a'+o)), perm))
 	}
 	return c
+}
+
+// addXorChain adds a 24-input xor chain over fresh inputs prefix_00..
+// prefix_23 to c and returns its node. With perm 0 the chain xors its
+// inputs in index order; otherwise in the order of a shuffle seeded by
+// perm. An in-order and a shuffled chain compute the same function with
+// no shared AIG structure, and their miter needs more conflicts than
+// the fraig sweep's 1000-conflict proofs may spend (about 2000 under
+// shuffledXor, about 9000 under hardXor), so it survives stage 2 and
+// reaches the worker pool.
+func addXorChain(c *netlist.Circuit, prefix string, perm int64) int {
+	const n = 24
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	if perm != 0 {
+		rand.New(rand.NewSource(perm)).Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	}
+	ins := make([]int, n)
+	for i := range ins {
+		ins[i] = c.AddInput(fmt.Sprintf("%s_%02d", prefix, i))
+	}
+	acc := ins[order[0]]
+	for _, x := range order[1:] {
+		acc = c.AddGate("", netlist.OpXor, acc, ins[x])
+	}
+	return acc
+}
+
+// Shuffle seeds for addXorChain.
+const (
+	shuffledXor = 3 // ~2000 conflicts per output miter
+	hardXor     = 4 // ~9000 conflicts per output miter
+)
+
+// xorPairs returns the in-order and shuffledXor copies of xorChainMulti.
+func xorPairs(k int) (*netlist.Circuit, *netlist.Circuit) {
+	return xorChainMulti(k, 0), xorChainMulti(k, shuffledXor)
+}
+
+// assertMitersReachPool fails the test unless some output miter
+// survived the fraig sweep, i.e. the worker pool had real work.
+func assertMitersReachPool(t *testing.T, res *Result) {
+	t.Helper()
+	if st := res.Stats; st.StructuralEqual >= st.Outputs {
+		t.Fatalf("premise: fraig discharged all %d miters structurally", st.Outputs)
+	}
 }
 
 // oracleVerdict decides c1 ≡ c2 independently of the engines: it
@@ -72,38 +102,45 @@ func oracleVerdict(t *testing.T, c1, c2 *netlist.Circuit) Verdict {
 }
 
 // TestVerdictMatchesFreshSolverOracle sweeps the SAT-arm engines and
-// worker counts over synthesized (equivalent) and mutated pairs: every
-// verdict must equal the fresh-solver oracle's, and every
-// counterexample must replay. (Runs under -race in CI via the package
-// race job.)
+// worker counts over synthesized (equivalent) and mutated pairs plus
+// the xor-chain pair: every verdict must equal the fresh-solver
+// oracle's, and every counterexample must replay. Stage 1 is off, so
+// mutants reach the miters instead of falling to simulation, and both
+// verdicts must come from miters that survived fraig. (Runs under
+// -race in CI via the package race job.)
 func TestVerdictMatchesFreshSolverOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
-	seen := map[Verdict]int{}
+	xc1, xc2 := xorPairs(2)
+	pairs := [][2]*netlist.Circuit{{xc1, xc2}}
 	for trial := 0; trial < 4; trial++ {
 		c := randomComb(rng)
 		o, err := synth.OptimizeComb(c, synth.DefaultScript())
 		if err != nil {
 			t.Fatal(err)
 		}
-		mut := mutate(rng, c)
-		for _, pair := range [][2]*netlist.Circuit{{c, o}, {c, mut}} {
-			want := oracleVerdict(t, pair[0], pair[1])
-			seen[want]++
-			for _, engine := range []string{"sat", "hybrid", "portfolio"} {
-				for _, workers := range []int{1, 3} {
-					res, err := Check(pair[0], pair[1], Options{
-						Engine: engine, Seed: int64(trial), Workers: workers,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Verdict != want {
-						t.Fatalf("trial %d engine %s workers %d: verdict %v, oracle %v",
-							trial, engine, workers, res.Verdict, want)
-					}
-					if res.Verdict == Inequivalent {
-						assertGenuineCex(t, pair[0], pair[1], res)
-					}
+		pairs = append(pairs, [2]*netlist.Circuit{c, o}, [2]*netlist.Circuit{c, mutate(rng, c)})
+	}
+	seen, pooled := map[Verdict]int{}, map[Verdict]int{}
+	for pi, pair := range pairs {
+		want := oracleVerdict(t, pair[0], pair[1])
+		seen[want]++
+		for _, engine := range []string{"hybrid", "portfolio"} {
+			for _, workers := range []int{1, 3} {
+				res, err := Check(pair[0], pair[1], Options{
+					Engine: engine, Seed: int64(pi), Workers: workers, SimRounds: -1,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Verdict != want {
+					t.Fatalf("pair %d engine %s workers %d: verdict %v, oracle %v",
+						pi, engine, workers, res.Verdict, want)
+				}
+				if res.Stats.StructuralEqual < res.Outputs {
+					pooled[want]++
+				}
+				if res.Verdict == Inequivalent {
+					assertGenuineCex(t, pair[0], pair[1], res)
 				}
 			}
 		}
@@ -111,44 +148,8 @@ func TestVerdictMatchesFreshSolverOracle(t *testing.T) {
 	if seen[Equivalent] == 0 || seen[Inequivalent] == 0 {
 		t.Fatalf("sweep must cover both verdicts, oracle gave %v", seen)
 	}
-}
-
-// TestIncrementalAdaptiveClassTrigger pins the staged-effort policy: a
-// cheap miter queue never pays for the fraig class analysis, while a
-// probe that exhausts the trigger budget runs it once, feeds the
-// classes, and still lands the right verdict on the retry.
-func TestIncrementalAdaptiveClassTrigger(t *testing.T) {
-	c1 := xorChainMulti(3, false)
-	c2 := xorChainMulti(3, true)
-	// Default trigger: 16-input xor probes resolve in well under 5000
-	// conflicts, so the sweep must not run.
-	res, err := Check(c1, c2, Options{
-		Engine: "sat", Workers: 1, SimRounds: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Equivalent {
-		t.Fatalf("verdict %v", res.Verdict)
-	}
-	if res.Stats.FraigClasses != 0 || res.Stats.ClassesFed != 0 {
-		t.Fatalf("class sweep ran on a cheap queue: %+v", res.Stats)
-	}
-	// A one-conflict trigger trips on the first real probe: the sweep
-	// runs once, classes reach the workers, and the retry still proves
-	// equivalence instead of surfacing Undecided.
-	res, err = Check(c1, c2, Options{
-		Engine: "sat", Workers: 1, SimRounds: -1,
-		ClassTriggerConflicts: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Equivalent {
-		t.Fatalf("triggered run verdict %v", res.Verdict)
-	}
-	if res.Stats.FraigClasses == 0 || res.Stats.ClassesFed == 0 {
-		t.Fatalf("trigger did not run or feed the class sweep: %+v", res.Stats)
+	if pooled[Equivalent] == 0 || pooled[Inequivalent] == 0 {
+		t.Fatalf("premise: each verdict needs miters that survive fraig, got %v", pooled)
 	}
 }
 
@@ -158,17 +159,15 @@ func TestIncrementalAdaptiveClassTrigger(t *testing.T) {
 // lifetime counters would grow roughly linearly across the queue.
 func TestIncrementalConflictDeltas(t *testing.T) {
 	const k = 5
-	c1 := xorChainMulti(k, false)
-	c2 := xorChainMulti(k, true)
-	res, err := Check(c1, c2, Options{
-		Engine: "sat", Workers: 1, SimRounds: -1,
-	})
+	c1, c2 := xorPairs(k)
+	res, err := Check(c1, c2, Options{Workers: 1, SimRounds: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Verdict != Equivalent {
 		t.Fatalf("verdict %v", res.Verdict)
 	}
+	assertMitersReachPool(t, res)
 	min, max, sum := int64(1<<62), int64(0), int64(0)
 	for _, o := range res.Stats.PerOutput {
 		if o.Conflicts < min {
@@ -196,14 +195,12 @@ func TestIncrementalConflictDeltas(t *testing.T) {
 // several miters on one warm solver must report carried-over learned
 // clauses and encode-once variable accounting.
 func TestIncrementalReuseTelemetry(t *testing.T) {
-	c1 := xorChainMulti(4, false)
-	c2 := xorChainMulti(4, true)
-	res, err := Check(c1, c2, Options{
-		Engine: "sat", Workers: 1, SimRounds: -1,
-	})
+	c1, c2 := xorPairs(4)
+	res, err := Check(c1, c2, Options{Workers: 1, SimRounds: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertMitersReachPool(t, res)
 	st := res.Stats
 	if st.ClausesReused == 0 {
 		t.Fatalf("no cross-miter clause reuse recorded: %+v", st)
@@ -222,42 +219,15 @@ func TestIncrementalReuseTelemetry(t *testing.T) {
 	}
 }
 
-// TestIncrementalFeedsFraigClasses: with an eager (negative) trigger
-// the analysis-only fraig sweep must surface the xor-chain output
-// equivalences as classes before the first probe, and the workers must
-// feed them into the clause database.
-func TestIncrementalFeedsFraigClasses(t *testing.T) {
-	c1 := xorChainMulti(2, false)
-	c2 := xorChainMulti(2, true)
-	res, err := Check(c1, c2, Options{
-		Engine: "sat", Workers: 1, SimRounds: -1,
-		ClassTriggerConflicts: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Equivalent {
-		t.Fatalf("verdict %v", res.Verdict)
-	}
-	st := res.Stats
-	if st.FraigClasses == 0 {
-		t.Fatalf("fraig analysis recorded no classes: %+v", st)
-	}
-	if st.ClassesFed == 0 {
-		t.Fatalf("no classes fed into the clause database: %+v", st)
-	}
-}
-
 // TestIncrementalBudgetExhaustionUndecided is the issue's budget test:
 // an interrupted incremental probe must degrade to the structured
 // Undecided verdict with named outputs — never a hang,
 // crash, or wrong answer.
 func TestIncrementalBudgetExhaustionUndecided(t *testing.T) {
-	c1 := xorChainMulti(4, false)
-	c2 := xorChainMulti(4, true)
+	c1, c2 := xorPairs(4)
 	// A nanosecond budget expires before any probe starts.
 	res, err := Check(c1, c2, Options{
-		Engine: "sat", Workers: 2, SimRounds: -1,
+		Workers: 2, SimRounds: -1,
 		Budget: time.Nanosecond,
 	})
 	if err != nil {
@@ -266,17 +236,19 @@ func TestIncrementalBudgetExhaustionUndecided(t *testing.T) {
 	if res.Verdict != Undecided {
 		t.Fatalf("verdict %v under expired budget", res.Verdict)
 	}
+	assertMitersReachPool(t, res)
 	if len(res.UndecidedOutputs) == 0 {
 		t.Fatal("undecided verdict without named outputs")
 	}
 	// A one-conflict limit interrupts mid-probe instead of pre-probe.
 	res, err = Check(c1, c2, Options{
-		Engine: "sat", Workers: 1, SimRounds: -1,
+		Workers: 1, SimRounds: -1,
 		MaxConflicts: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertMitersReachPool(t, res)
 	if res.Verdict != Undecided || len(res.UndecidedOutputs) == 0 {
 		t.Fatalf("conflict-limited incremental run: %+v", res)
 	}

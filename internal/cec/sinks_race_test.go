@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math/rand"
 	"sort"
 	"testing"
 
 	"seqver/internal/metrics"
 	"seqver/internal/obs"
-	"seqver/internal/synth"
 )
 
 // nopCloser adapts a bytes.Buffer for ChromeSink's io.WriteCloser.
@@ -31,7 +29,6 @@ func (nopCloser) Close() error { return nil }
 //     partially overlapping, and nesting only pairs parents with their
 //     own descendants (lane sharing is parent-consistent)
 func TestSinksUnderParallelWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
 	var jsonl bytes.Buffer
 	var chrome bytes.Buffer
 	ring := obs.NewRingSink(128) // force eviction under a real workload
@@ -44,16 +41,13 @@ func TestSinksUnderParallelWorkers(t *testing.T) {
 	)
 	ctx := obs.WithTracer(context.Background(), tr)
 
+	c1, c2 := xorPairs(4)
 	for trial := 0; trial < 3; trial++ {
-		c := randomComb(rng)
-		o, err := synth.OptimizeComb(c, synth.DefaultScript())
+		res, err := CheckCtx(ctx, c1, c2, Options{Workers: 4, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := CheckCtx(ctx, c, o, Options{Engine: "sat", Workers: 4, Seed: int64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		assertMitersReachPool(t, res)
 		if res.Verdict != Equivalent {
 			t.Fatalf("trial %d: verdict %v, want Equivalent", trial, res.Verdict)
 		}
@@ -90,8 +84,8 @@ func TestMetricsFoldCountsOnce(t *testing.T) {
 	reg := metrics.NewRegistry()
 	tr := obs.New(metrics.NewSink(reg))
 	ctx := obs.WithTracer(context.Background(), tr)
-	res, err := CheckCtx(ctx, xorChainMulti(2, false), xorChainMulti(2, true),
-		Options{Engine: "sat", Workers: 2})
+	c1, c2 := xorPairs(2)
+	res, err := CheckCtx(ctx, c1, c2, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,6 @@ type Stats struct {
 	// garbage collection across the run.
 	DBReductions   int64 `json:"db_reductions"`
 	ClausesDeleted int64 `json:"clauses_deleted"`
-	// FraigClasses / ClassesFed: internal equivalences recorded by the
-	// fraig analysis pass and how many were fed into worker clause
-	// databases as equality clauses (sat engine only).
-	FraigClasses int `json:"fraig_classes,omitempty"`
-	ClassesFed   int `json:"classes_fed,omitempty"`
 
 	// BudgetNS is the configured wall-clock budget (0: unbudgeted).
 	BudgetNS int64 `json:"budget_ns,omitempty"`
@@ -118,10 +113,6 @@ func (s *Stats) String() string {
 	if s.Engine != "bdd" {
 		fmt.Fprintf(&b, "reuse:       %d clauses reused, %d vars encoded, %d reductions\n",
 			s.ClausesReused, s.VarsEncoded, s.DBReductions)
-		if s.FraigClasses > 0 {
-			fmt.Fprintf(&b, "classes:     %d recorded, %d fed as equality clauses\n",
-				s.FraigClasses, s.ClassesFed)
-		}
 	}
 	if s.BudgetNS > 0 {
 		fmt.Fprintf(&b, "budget:      %v wall clock\n", time.Duration(s.BudgetNS))

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"seqver/internal/netlist"
 	"seqver/internal/obs"
 )
 
@@ -34,8 +35,6 @@ func fullStats() *Stats {
 		VarsEncoded:      654,
 		DBReductions:     2,
 		ClausesDeleted:   88,
-		FraigClasses:     7,
-		ClassesFed:       5,
 		BudgetNS:         2_000_000_000,
 		Portfolio: &PortfolioStats{
 			SATWins: 2, BDDWins: 1, SATTimeouts: 1, BDDTimeouts: 2, Unresolved: 1,
@@ -72,7 +71,7 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 // The optional sections must disappear entirely from the JSON when
 // unset — consumers key presence off the field, not a zero value.
 func TestStatsJSONOmitsEmptyOptionalFields(t *testing.T) {
-	data, err := json.Marshal(&Stats{Engine: "sat"})
+	data, err := json.Marshal(&Stats{Engine: "hybrid"})
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -91,7 +90,6 @@ simulation:  8 rounds x 4 words (2048 patterns), 1 cex hits
 fraig:       120 -> 30 AND nodes, 45 merges (12 proofs)
 sat:         5 calls, 777 conflicts, 1234 decisions
 reuse:       321 clauses reused, 654 vars encoded, 2 reductions
-classes:     7 recorded, 5 fed as equality clauses
 budget:      2s wall clock
 portfolio:   sat 2 wins / 1 timeouts, bdd 1 wins / 2 timeouts, 1 unresolved
 panics:      1 recovered proofs (degraded to undecided)
@@ -117,42 +115,66 @@ func TestStatsStringZeroElapsed(t *testing.T) {
 
 // TestFraigSpanGauges pins the sweep's accounting on the fraig span:
 // merges and SAT-bound pairs agree with Stats, and the counterexample
-// skips and solver recycles are reported beside them.
+// skips and solver recycles are reported beside them. The second pair
+// adds a hard xor-chain miter (more than 5000 conflicts) to a
+// multiplier pair the sweep merges: however long the miters' probes
+// run, Stats reports the stage-2 sweep's effort and nothing else.
 func TestFraigSpanGauges(t *testing.T) {
-	ring := obs.NewRingSink(4096)
-	tr := obs.New(ring)
-	res, err := CheckCtx(obs.WithTracer(context.Background(), tr), xorChainMulti(2, false), xorChainMulti(2, true), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var fraigSpan uint64
-	gauges := map[string]int64{}
-	for _, ev := range ring.Events() {
-		switch {
-		case ev.Type == obs.EvBegin && ev.Name == "fraig":
-			fraigSpan = ev.Span
-		case ev.Type == obs.EvGauge && ev.Span == fraigSpan && fraigSpan != 0:
-			gauges[ev.Name] = ev.Value
-		}
-	}
-	st := res.Stats
-	if st.FraigProveCalls == 0 {
-		t.Fatalf("premise: the sweep sent no pair to SAT: %+v", st)
-	}
-	for name, want := range map[string]int64{
-		"fraig.merges":      int64(st.FraigMerges),
-		"fraig.prove_calls": int64(st.FraigProveCalls),
+	mul1, mul2 := multiplier(4, false), multiplier(4, true)
+	mul1.AddOutput("x", addXorChain(mul1, "x", 0))
+	mul2.AddOutput("x", addXorChain(mul2, "x", hardXor))
+	xc1, xc2 := xorPairs(2)
+	for _, pair := range []struct {
+		name      string
+		c1, c2    *netlist.Circuit
+		conflicts int64 // the hardest miter needs more than this
+	}{
+		{"xor chains", xc1, xc2, 0},
+		{"multiplier + hard xor chain", mul1, mul2, 5000},
 	} {
-		if got, ok := gauges[name]; !ok || got != want {
-			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
+		ring := obs.NewRingSink(4096)
+		tr := obs.New(ring)
+		res, err := CheckCtx(obs.WithTracer(context.Background(), tr), pair.c1, pair.c2, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, name := range []string{"fraig.cex_skipped", "fraig.recycles"} {
-		if _, ok := gauges[name]; !ok {
-			t.Errorf("fraig span has no %s gauge: %v", name, gauges)
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var fraigSpan uint64
+		gauges := map[string]int64{}
+		for _, ev := range ring.Events() {
+			switch {
+			case ev.Type == obs.EvBegin && ev.Name == "fraig":
+				fraigSpan = ev.Span
+			case ev.Type == obs.EvGauge && ev.Span == fraigSpan && fraigSpan != 0:
+				gauges[ev.Name] = ev.Value
+			}
+		}
+		st := res.Stats
+		if st.FraigProveCalls == 0 {
+			t.Fatalf("%s: premise: the sweep sent no pair to SAT: %+v", pair.name, st)
+		}
+		hardest := int64(0)
+		for _, o := range st.PerOutput {
+			hardest = max(hardest, o.Conflicts)
+		}
+		if res.Verdict != Equivalent || hardest <= pair.conflicts {
+			t.Fatalf("%s: premise: verdict %v, hardest miter %d conflicts, want equivalent and > %d",
+				pair.name, res.Verdict, hardest, pair.conflicts)
+		}
+		for name, want := range map[string]int64{
+			"fraig.merges":      int64(st.FraigMerges),
+			"fraig.prove_calls": int64(st.FraigProveCalls),
+		} {
+			if got, ok := gauges[name]; !ok || got != want {
+				t.Errorf("%s: %s = %d (present %v), want %d", pair.name, name, got, ok, want)
+			}
+		}
+		for _, name := range []string{"fraig.cex_skipped", "fraig.recycles"} {
+			if _, ok := gauges[name]; !ok {
+				t.Errorf("%s: fraig span has no %s gauge: %v", pair.name, name, gauges)
+			}
 		}
 	}
 }

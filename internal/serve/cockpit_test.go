@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -228,10 +229,12 @@ func TestTimeseriesEndpoint(t *testing.T) {
 }
 
 // hardXorPair builds an equivalent pair whose miter defeats structural
-// hashing (XOR-of-ANDs accumulated in opposite orders), so a starved
-// SAT budget must answer undecided — the SLO-relevant outcome.
+// hashing and the fraig sweep (XOR-of-ANDs accumulated in index order
+// and in a shuffled order), so a starved SAT budget must answer
+// undecided — the SLO-relevant outcome — and an unstarved one decides
+// it with real SAT miters.
 func hardXorPair(n int) (golden, revised string) {
-	build := func(name string, reverse bool) string {
+	build := func(name string, order []int) string {
 		var b strings.Builder
 		fmt.Fprintf(&b, ".model %s\n.inputs", name)
 		for i := 0; i < n; i++ {
@@ -241,14 +244,6 @@ func hardXorPair(n int) (golden, revised string) {
 		for i := 0; i < n; i++ {
 			fmt.Fprintf(&b, ".names x%d y%d p%d\n11 1\n", i, (i+3)%n, i)
 		}
-		order := make([]int, n)
-		for i := range order {
-			if reverse {
-				order[i] = n - 1 - i
-			} else {
-				order[i] = i
-			}
-		}
 		fmt.Fprintf(&b, ".names p%d t0\n1 1\n", order[0])
 		for i := 1; i < n; i++ {
 			fmt.Fprintf(&b, ".names t%d p%d t%d\n10 1\n01 1\n", i-1, order[i], i)
@@ -256,7 +251,13 @@ func hardXorPair(n int) (golden, revised string) {
 		fmt.Fprintf(&b, ".names t%d o\n1 1\n.end\n", n-1)
 		return b.String()
 	}
-	return build("hard_g", false), build("hard_r", true)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	golden = build("hard_g", order)
+	rand.New(rand.NewSource(3)).Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return golden, build("hard_r", order)
 }
 
 func TestSLOBurnsOnUndecidedJob(t *testing.T) {
@@ -271,10 +272,10 @@ func TestSLOBurnsOnUndecidedJob(t *testing.T) {
 	s, ts := newTestServer(t, Options{Objectives: []metrics.Objective{lat, avail}})
 	c := &Client{Base: ts.URL}
 
-	g, r := hardXorPair(16)
+	g, r := hardXorPair(24)
 	v := submitWait(t, c, &JobRequest{
 		Golden: SideSpec{BLIF: g}, Revised: SideSpec{BLIF: r},
-		Engine: "sat", MaxConflicts: 1,
+		MaxConflicts: 1,
 	})
 	if v.Status != StatusDone || v.Result == nil || v.Result.ExitCode != 2 {
 		t.Fatalf("want a budget-exhausted undecided job, got %+v", v)
@@ -387,10 +388,10 @@ func TestJobReportMatchesTrace(t *testing.T) {
 func TestJobReportSATExact(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	c := &Client{Base: ts.URL}
+	g, r := hardXorPair(24)
 	v := submitWait(t, c, &JobRequest{
-		Golden:  SideSpec{Corpus: "s400"},
-		Revised: SideSpec{Corpus: "s400:synth"},
-		Engine:  "sat", NoCache: true,
+		Golden: SideSpec{BLIF: g}, Revised: SideSpec{BLIF: r},
+		NoCache: true,
 	})
 	if v.Status != StatusDone || v.Result.Cached {
 		t.Fatalf("job: %+v", v)

@@ -50,7 +50,7 @@ type JobRequest struct {
 	Golden  SideSpec `json:"golden"`
 	Revised SideSpec `json:"revised"`
 
-	// Engine: "hybrid" (default), "sat", "bdd", or "portfolio".
+	// Engine: "hybrid" (default), "bdd", or "portfolio".
 	Engine string `json:"engine,omitempty"`
 	// BudgetMS bounds the check's wall clock in milliseconds. 0 selects
 	// the daemon's default budget; values above the daemon's maximum
@@ -80,9 +80,9 @@ func (r *JobRequest) validate() error {
 		return err
 	}
 	switch r.Engine {
-	case "", "hybrid", "sat", "bdd", "portfolio":
+	case "", "hybrid", "bdd", "portfolio":
 	default:
-		return fmt.Errorf("unknown engine %q (want hybrid, sat, bdd, or portfolio)", r.Engine)
+		return fmt.Errorf("unknown engine %q (want hybrid, bdd, or portfolio)", r.Engine)
 	}
 	if r.BudgetMS < 0 || r.Workers < 0 || r.MaxConflicts < 0 {
 		return fmt.Errorf("budget_ms, workers, and max_conflicts must be non-negative")

@@ -310,9 +310,11 @@ func TestValidationErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || apiErr.Code != "invalid_request" {
 		t.Errorf("both sides set: %d %+v", resp.StatusCode, apiErr)
 	}
-	resp, apiErr = post(`{"golden":{"corpus":"s400"},"revised":{"corpus":"s400"},"engine":"quantum"}`)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, "quantum") {
-		t.Errorf("bad engine: %d %+v", resp.StatusCode, apiErr)
+	for _, engine := range []string{"quantum", "sat"} {
+		resp, apiErr = post(`{"golden":{"corpus":"s400"},"revised":{"corpus":"s400"},"engine":"` + engine + `"}`)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, `"`+engine+`"`) {
+			t.Errorf("bad engine %s: %d %+v", engine, resp.StatusCode, apiErr)
+		}
 	}
 	resp, apiErr = post(`{"golden":{"corpus":"s400"},"revised":{"corpus":"s400"},"surprise":1}`)
 	if resp.StatusCode != http.StatusBadRequest {

@@ -127,8 +127,8 @@ func TestDegradedOptions(t *testing.T) {
 		wantEngine string
 		wantBudget int64
 	}{
-		{"attempt 1 runs as submitted", JobRequest{Engine: "sat", BudgetMS: 8000}, 1, "sat", 8000},
-		{"attempt 2 forces portfolio", JobRequest{Engine: "sat", BudgetMS: 8000}, 2, "portfolio", 8000},
+		{"attempt 1 runs as submitted", JobRequest{Engine: "bdd", BudgetMS: 8000}, 1, "bdd", 8000},
+		{"attempt 2 forces portfolio", JobRequest{Engine: "bdd", BudgetMS: 8000}, 2, "portfolio", 8000},
 		{"attempt 3 halves the budget", JobRequest{BudgetMS: 8000}, 3, "portfolio", 4000},
 		{"attempt 4 halves twice", JobRequest{BudgetMS: 8000}, 4, "portfolio", 2000},
 		{"default budget degrades from the default", JobRequest{}, 3, "portfolio", def.Milliseconds() / 2},

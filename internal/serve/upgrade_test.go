@@ -8,17 +8,17 @@ import (
 	"time"
 )
 
-// legacySubmitted is a submitted record as journals written before the
-// removal of the SAT-mode option stored it: the request carries a
-// "sat_mode" field the current JobRequest no longer has.
-func legacySubmitted(t *testing.T, id, golden, revised string) string {
+// legacySubmitted is a submitted record as an older daemon journaled
+// it: the request carries field = value, an option the current daemon
+// no longer has ("sat_mode") or no longer accepts (engine "sat").
+func legacySubmitted(t *testing.T, id, golden, revised, field, value string) string {
 	t.Helper()
 	b, err := json.Marshal(map[string]any{
 		"op": jopSubmitted, "id": id, "ts_unix_ns": time.Now().UnixNano(),
 		"req": map[string]any{
-			"golden":   map[string]string{"blif": golden},
-			"revised":  map[string]string{"blif": revised},
-			"sat_mode": "fresh",
+			"golden":  map[string]string{"blif": golden},
+			"revised": map[string]string{"blif": revised},
+			field:     value,
 		},
 	})
 	if err != nil {
@@ -34,9 +34,9 @@ func legacySubmitted(t *testing.T, id, golden, revised string) string {
 func TestJournalReplayLegacySATMode(t *testing.T) {
 	dir := t.TempDir()
 	writeJournal(t, dir,
-		legacySubmitted(t, "j-legacy-eq", goldenSeq, revisedSeq)+
+		legacySubmitted(t, "j-legacy-eq", goldenSeq, revisedSeq, "sat_mode", "fresh")+
 			jline(t, journalRecord{Op: jopStarted, ID: "j-legacy-eq", Attempt: 1})+
-			legacySubmitted(t, "j-legacy-bad", goldenSeq, revisedBad))
+			legacySubmitted(t, "j-legacy-bad", goldenSeq, revisedBad, "sat_mode", "fresh"))
 	s, err := New(Options{JournalDir: dir, Workers: 1, DefaultBudget: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +56,38 @@ func TestJournalReplayLegacySATMode(t *testing.T) {
 	}
 	if n := counterValue(t, s, "seqverd_journal_torn_records_total"); n != 0 {
 		t.Errorf("legacy records counted as torn: %d", n)
+	}
+}
+
+// TestJournalReplayRemovedSATEngine is the upgrade path for jobs
+// journaled with engine "sat" before that engine was removed. Replay
+// does not re-validate requests, so each attempt takes its engine from
+// degradedOptions like any other: a first attempt runs the engine as
+// submitted, and the check's unknown-engine error fails the job; a job
+// that had already started once is on attempt 2, where the ladder
+// forces portfolio and the pair is decided. Neither job panics or stays
+// queued.
+func TestJournalReplayRemovedSATEngine(t *testing.T) {
+	dir := t.TempDir()
+	writeJournal(t, dir,
+		legacySubmitted(t, "j-sat-first", goldenSeq, revisedBad, "engine", "sat")+
+			legacySubmitted(t, "j-sat-retry", goldenSeq, revisedSeq, "engine", "sat")+
+			jline(t, journalRecord{Op: jopStarted, ID: "j-sat-retry", Attempt: 1}))
+	s, err := New(Options{JournalDir: dir, Workers: 1, DefaultBudget: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(10 * time.Second)
+	v := waitTerminal(t, s, "j-sat-first")
+	if v.Status != StatusFailed || !strings.Contains(v.Error, `unknown engine "sat"`) {
+		t.Fatalf("first attempt after replay: %+v (error %q), want failed on the unknown engine", v, v.Error)
+	}
+	v = waitTerminal(t, s, "j-sat-retry")
+	if v.Status != StatusDone || v.Result == nil || v.Result.Verdict != "equivalent" {
+		t.Fatalf("second attempt after replay: %+v (error %q), want done, equivalent", v, v.Error)
+	}
+	if n := counterValue(t, s, "seqverd_journal_requeued_total"); n != 2 {
+		t.Errorf("requeued counter = %d, want 2", n)
 	}
 }
 

@@ -121,7 +121,7 @@ type Options = core.Options
 // Report is a verification outcome.
 type Report = core.Report
 
-// CECOptions tunes the combinational engine ("hybrid", "sat", "bdd",
+// CECOptions tunes the combinational engine ("hybrid", "bdd",
 // "portfolio") including the wall-clock Budget.
 type CECOptions = cec.Options
 
